@@ -4,12 +4,11 @@
 //! the multi-process one (`mpf_ipc::IpcMpf`).  Both hand out the same
 //! three futures — [`RecvFuture`], [`SendFuture`], [`SelectAny`] — and
 //! own one [`Reactor`] thread that multiplexes every pending future over
-//! the backend's futex/waitq layer (see the reactor module for the
-//! lost-wakeup-free ticket protocol).
+//! the backend's wake signal (see the reactor module for the
+//! lost-wakeup-free watch-then-ticket protocol).
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
@@ -27,10 +26,12 @@ use crate::reactor::{Backend, Reactor};
 
 /// In-process (thread) backend: signals are heap wait queues, so the
 /// reactor's wait is a single `wait_many` over every registered
-/// conversation plus the memory queue plus its own wake channel.
+/// conversation plus the memory queue plus its own wake queue.  Watches
+/// are no-ops: the wait already covers every registered queue.
 pub struct ThreadBackend {
     mpf: Arc<Mpf>,
     pid: ProcessId,
+    wake: WaitQueue,
 }
 
 impl Backend for ThreadBackend {
@@ -52,50 +53,47 @@ impl Backend for ThreadBackend {
         self.mpf.mem_signal_ticket()
     }
 
-    fn has_mem_signal(&self) -> bool {
-        true
+    fn mem_recheck(&self) -> Option<Duration> {
+        None
     }
 
-    fn wait(
-        &self,
-        recv: &[(LnvcId, u32)],
-        mem: Option<u32>,
-        wake: (&WaitQueue, u32),
-        until: Option<Instant>,
-    ) {
-        self.mpf.wait_signals_deadline(recv, mem, Some(wake), until);
+    fn watch_recv(&self, _id: LnvcId) -> Result<()> {
+        Ok(())
+    }
+
+    fn unwatch_recv(&self, _id: LnvcId) {}
+
+    fn watch_mem(&self) {}
+
+    fn unwatch_mem(&self) {}
+
+    type Ticket = u32;
+
+    fn wake_ticket(&self) -> u32 {
+        self.wake.ticket()
+    }
+
+    fn wake(&self) {
+        self.wake.notify_all();
+    }
+
+    fn wait(&self, recv: &[(LnvcId, u32)], mem: Option<u32>, wake: u32, until: Option<Instant>) {
+        self.mpf
+            .wait_signals_deadline(recv, mem, Some((&self.wake, wake)), until);
     }
 }
 
-/// Multi-process backend: receive signals live in the shared region
-/// (`FutexSeq`), which can only park on one address at a time, so the
-/// reactor naps on the first registered conversation's futex with a
-/// bounded timeout and re-scans.  There is no region-wide free signal —
-/// pending senders are re-polled at nap cadence instead, with the
-/// send-only nap backing off exponentially under sustained pool
-/// pressure (`send_nap_us`).
+/// Multi-process backend.  With futures registered, the reactor parks
+/// on this process's doorbell in the shared region: their watches make
+/// senders on every registered conversation, and frees while senders are
+/// pending, ring it.  With none registered it parks on a process-local
+/// queue instead, so rings meant for this process's other multi-waiters
+/// (a serve worker's wait-any) do not wake it.  Registrations and
+/// shutdown move both.
 pub struct IpcBackend {
     ipc: Arc<IpcMpf>,
-    /// Current send-retry nap in microseconds for waits where only
-    /// pending senders are outstanding.  Starts at [`SEND_NAP_MIN_US`],
-    /// doubles after each fruitless send-only nap up to
-    /// [`SEND_NAP_MAX_US`], and resets on any successful `try_send` —
-    /// bounded backoff instead of a tight fixed-cadence retry loop
-    /// burning a core while the pools stay exhausted.
-    send_nap_us: AtomicU64,
+    idle: WaitQueue,
 }
-
-/// Upper bound on how long the ipc reactor sleeps between scans while
-/// receive interests it cannot park on directly (other conversations)
-/// are outstanding.
-const IPC_NAP: Duration = Duration::from_millis(2);
-
-/// First send-only retry nap: quick enough that a transient pool blip
-/// costs well under a millisecond of extra latency.
-const SEND_NAP_MIN_US: u64 = 200;
-
-/// Send-only retry nap ceiling under sustained pool pressure.
-const SEND_NAP_MAX_US: u64 = 20_000;
 
 impl Backend for IpcBackend {
     type Id = IpcLnvcId;
@@ -105,12 +103,7 @@ impl Backend for IpcBackend {
     }
 
     fn try_send(&self, id: IpcLnvcId, payload: &[u8]) -> Result<bool> {
-        let r = self.ipc.try_message_send(id, payload);
-        if matches!(r, Ok(true)) {
-            // Capacity exists again; retry promptly next time.
-            self.send_nap_us.store(SEND_NAP_MIN_US, Ordering::Relaxed);
-        }
-        r
+        self.ipc.try_message_send(id, payload)
     }
 
     fn recv_ticket(&self, id: IpcLnvcId) -> Result<u32> {
@@ -118,46 +111,55 @@ impl Backend for IpcBackend {
     }
 
     fn mem_ticket(&self) -> u32 {
-        0
+        self.ipc.free_ticket()
     }
 
-    fn has_mem_signal(&self) -> bool {
-        false
+    /// A retry can fail on another sender's partial allocation, whose
+    /// rollback does not signal; the same bound `send_deadline` parks by.
+    fn mem_recheck(&self) -> Option<Duration> {
+        Some(IpcMpf::SWEEP_INTERVAL)
+    }
+
+    fn watch_recv(&self, id: IpcLnvcId) -> Result<()> {
+        self.ipc.watch_recv(id)
+    }
+
+    fn unwatch_recv(&self, id: IpcLnvcId) {
+        self.ipc.unwatch_recv(id);
+    }
+
+    fn watch_mem(&self) {
+        self.ipc.watch_free();
+    }
+
+    fn unwatch_mem(&self) {
+        self.ipc.unwatch_free();
+    }
+
+    /// `(idle queue, doorbell)`.
+    type Ticket = (u32, u32);
+
+    fn wake_ticket(&self) -> (u32, u32) {
+        (self.idle.ticket(), self.ipc.doorbell_ticket())
+    }
+
+    fn wake(&self) {
+        self.idle.notify_all();
+        self.ipc.ring_doorbell();
     }
 
     fn wait(
         &self,
         recv: &[(IpcLnvcId, u32)],
         mem: Option<u32>,
-        wake: (&WaitQueue, u32),
+        (idle, bell): (u32, u32),
         until: Option<Instant>,
     ) {
-        // Every nap below is already bounded; the earliest registered
-        // timer just tightens the bound so expiry fires on time.
-        let clamp = |nap: Duration| {
-            until.map_or(nap, |at| {
-                nap.min(at.saturating_duration_since(Instant::now()))
-            })
-        };
-        if let Some(&(id, ticket)) = recv.first() {
-            // Park on the first conversation's in-region futex; the
-            // bounded timeout keeps the other interests live.  Receive
-            // traffic implies the pools are moving, so pending senders
-            // riding on this wait keep the fast fixed cadence.
-            self.ipc.wait_recv_signal(id, ticket, clamp(IPC_NAP));
-        } else if mem.is_some() {
-            // Only senders are blocked and nothing in the region can
-            // signal a free: poll with exponential backoff so sustained
-            // pool pressure costs naps, not a spinning core.
-            let nap = self.send_nap_us.load(Ordering::Relaxed);
-            std::thread::sleep(clamp(Duration::from_micros(nap)));
-            self.send_nap_us
-                .store((nap * 2).min(SEND_NAP_MAX_US), Ordering::Relaxed);
+        if recv.is_empty() && mem.is_none() {
+            self.idle.wait_deadline(idle, WaitStrategy::Futex, until);
         } else {
-            // Only the reactor's own (process-local) wake channel or a
-            // timer can fire: park until a registration or shutdown
-            // bumps the queue, or the earliest timer expires.
-            wake.0.wait_deadline(wake.1, WaitStrategy::Park, until);
+            // The doorbell stands in for every registered signal.
+            self.ipc.wait_doorbell(bell, until);
         }
     }
 }
@@ -196,30 +198,128 @@ impl<B: Backend> Drop for Driver<B> {
 // Futures
 // ----------------------------------------------------------------------
 
+/// A future's hold on the reactor: its registration token and the
+/// watches it took.  Released when the future resolves or is dropped, so
+/// nothing it registered outlives it.
+struct Interest<B: Backend> {
+    reactor: Arc<Reactor<B>>,
+    token: u64,
+    /// Whether the watches below were taken (the first poll that could
+    /// not complete takes them).
+    armed: bool,
+    recv: Vec<B::Id>,
+    mem: bool,
+}
+
+impl<B: Backend> Interest<B> {
+    fn new(reactor: &Arc<Reactor<B>>) -> Self {
+        Interest {
+            reactor: Arc::clone(reactor),
+            token: reactor.token(),
+            armed: false,
+            recv: Vec::new(),
+            mem: false,
+        }
+    }
+
+    fn backend(&self) -> &B {
+        &self.reactor.backend
+    }
+
+    /// Watches every conversation in `ids` (kept on error, so release
+    /// drops exactly what was taken).
+    fn arm_recv(&mut self, ids: &[B::Id]) -> Result<()> {
+        self.armed = true;
+        for &id in ids {
+            self.reactor.backend.watch_recv(id)?;
+            self.recv.push(id);
+        }
+        Ok(())
+    }
+
+    fn arm_mem(&mut self) {
+        self.armed = true;
+        self.reactor.backend.watch_mem();
+        self.mem = true;
+    }
+
+    /// Deregisters and drops the watches; idempotent.
+    fn release(&mut self) {
+        self.reactor.deregister(self.token);
+        for id in self.recv.drain(..) {
+            self.reactor.backend.unwatch_recv(id);
+        }
+        if std::mem::take(&mut self.mem) {
+            self.reactor.backend.unwatch_mem();
+        }
+        self.armed = false;
+    }
+
+    /// Releases on a resolved poll.
+    fn finish<T>(&mut self, r: T) -> Poll<T> {
+        self.release();
+        Poll::Ready(r)
+    }
+
+    /// The receive futures' poll: the first of `ids` with a message, or
+    /// a registration on all of them.  A message already waiting needs
+    /// no watch; otherwise watch, then take every ticket, then try every
+    /// member again — traffic landing after its ticket moves that
+    /// sequence, and the watch makes it ring the reactor.
+    fn poll_recv(&mut self, ids: &[B::Id], cx: &mut Context<'_>) -> Poll<Result<(B::Id, Vec<u8>)>> {
+        let try_any = |b: &B| -> Result<Option<(B::Id, Vec<u8>)>> {
+            for &id in ids {
+                if let Some(msg) = b.try_recv(id)? {
+                    return Ok(Some((id, msg)));
+                }
+            }
+            Ok(None)
+        };
+        if !self.armed {
+            if let Some(r) = try_any(self.backend()).transpose() {
+                return self.finish(r);
+            }
+            if let Err(e) = self.arm_recv(ids) {
+                return self.finish(Err(e));
+            }
+        }
+        let mut tickets = Vec::with_capacity(ids.len());
+        for &id in ids {
+            match self.backend().recv_ticket(id) {
+                Ok(t) => tickets.push((id, t)),
+                Err(e) => return self.finish(Err(e)),
+            }
+        }
+        match try_any(self.backend()).transpose() {
+            Some(r) => self.finish(r),
+            None => {
+                self.reactor.register_recv(self.token, &tickets, cx.waker());
+                Poll::Pending
+            }
+        }
+    }
+}
+
+impl<B: Backend> Drop for Interest<B> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
 /// Resolves to the next message on one conversation.
 pub struct RecvFuture<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     id: B::Id,
 }
 
 impl<B: Backend> Future for RecvFuture<B> {
     type Output = Result<Vec<u8>>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // Ticket before the try: traffic landing in between has already
-        // moved the sequence, so the reactor fires us on its next scan.
-        let ticket = match self.reactor.backend.recv_ticket(self.id) {
-            Ok(t) => t,
-            Err(e) => return Poll::Ready(Err(e)),
-        };
-        match self.reactor.backend.try_recv(self.id) {
-            Ok(Some(msg)) => Poll::Ready(Ok(msg)),
-            Ok(None) => {
-                self.reactor.register_recv(self.id, ticket, cx.waker());
-                Poll::Pending
-            }
-            Err(e) => Poll::Ready(Err(e)),
-        }
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let id = self.id;
+        self.interest
+            .poll_recv(&[id], cx)
+            .map(|r| r.map(|(_, msg)| msg))
     }
 }
 
@@ -227,7 +327,7 @@ impl<B: Backend> Future for RecvFuture<B> {
 /// conversation; pends (with flow control) while the region's message
 /// or block pool is exhausted.
 pub struct SendFuture<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     id: B::Id,
     payload: Vec<u8>,
 }
@@ -235,15 +335,23 @@ pub struct SendFuture<B: Backend> {
 impl<B: Backend> Future for SendFuture<B> {
     type Output = Result<()>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let ticket = self.reactor.backend.mem_ticket();
-        match self.reactor.backend.try_send(self.id, &self.payload) {
-            Ok(true) => Poll::Ready(Ok(())),
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        let it = &mut this.interest;
+        if !it.armed {
+            match it.backend().try_send(this.id, &this.payload) {
+                Ok(false) => {}
+                r => return it.finish(r.map(|_| ())),
+            }
+            it.arm_mem();
+        }
+        let ticket = it.backend().mem_ticket();
+        match it.backend().try_send(this.id, &this.payload) {
             Ok(false) => {
-                self.reactor.register_send(ticket, cx.waker());
+                it.reactor.register_send(it.token, ticket, cx.waker());
                 Poll::Pending
             }
-            Err(e) => Poll::Ready(Err(e)),
+            r => it.finish(r.map(|_| ())),
         }
     }
 }
@@ -258,7 +366,7 @@ impl<B: Backend> Future for SendFuture<B> {
 /// The inner future is polled *before* the clock check, so a completion
 /// racing the deadline resolves, not times out.
 pub struct Deadline<B: Backend, F> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     inner: F,
     at: Instant,
 }
@@ -272,12 +380,13 @@ where
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
         match Pin::new(&mut this.inner).poll(cx) {
-            Poll::Ready(r) => Poll::Ready(r),
+            Poll::Ready(r) => this.interest.finish(r),
             Poll::Pending => {
                 if Instant::now() >= this.at {
-                    return Poll::Ready(Err(MpfError::TimedOut));
+                    return this.interest.finish(Err(MpfError::TimedOut));
                 }
-                this.reactor.register_timer(this.at, cx.waker());
+                let it = &this.interest;
+                it.reactor.register_timer(it.token, this.at, cx.waker());
                 Poll::Pending
             }
         }
@@ -291,7 +400,7 @@ macro_rules! deadline_combinator {
             /// ([`MpfError::TimedOut`] once it passes).
             pub fn deadline(self, at: Instant) -> Deadline<B, Self> {
                 Deadline {
-                    reactor: Arc::clone(&self.reactor),
+                    interest: Interest::new(&self.interest.reactor),
                     inner: self,
                     at,
                 }
@@ -312,34 +421,16 @@ deadline_combinator!(SelectAny);
 /// Resolves to `(conversation, message)` for whichever registered
 /// conversation delivers first.
 pub struct SelectAny<B: Backend> {
-    reactor: Arc<Reactor<B>>,
+    interest: Interest<B>,
     ids: Vec<B::Id>,
 }
 
 impl<B: Backend> Future for SelectAny<B> {
     type Output = Result<(B::Id, Vec<u8>)>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // All tickets first, then all tries: a message arriving at any
-        // conversation after its ticket was sampled re-wakes us.
-        let mut tickets = Vec::with_capacity(self.ids.len());
-        for &id in &self.ids {
-            match self.reactor.backend.recv_ticket(id) {
-                Ok(t) => tickets.push(t),
-                Err(e) => return Poll::Ready(Err(e)),
-            }
-        }
-        for &id in &self.ids {
-            match self.reactor.backend.try_recv(id) {
-                Ok(Some(msg)) => return Poll::Ready(Ok((id, msg))),
-                Ok(None) => {}
-                Err(e) => return Poll::Ready(Err(e)),
-            }
-        }
-        for (&id, &ticket) in self.ids.iter().zip(&tickets) {
-            self.reactor.register_recv(id, ticket, cx.waker());
-        }
-        Poll::Pending
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        this.interest.poll_recv(&this.ids, cx)
     }
 }
 
@@ -352,7 +443,7 @@ macro_rules! future_ctors {
         /// Receives the next message on `id`.
         pub fn recv(&self, id: $id) -> RecvFuture<$backend> {
             RecvFuture {
-                reactor: Arc::clone(&self.driver.reactor),
+                interest: Interest::new(&self.driver.reactor),
                 id,
             }
         }
@@ -360,7 +451,7 @@ macro_rules! future_ctors {
         /// Sends `payload` on `id`, pending while the region is full.
         pub fn send(&self, id: $id, payload: Vec<u8>) -> SendFuture<$backend> {
             SendFuture {
-                reactor: Arc::clone(&self.driver.reactor),
+                interest: Interest::new(&self.driver.reactor),
                 id,
                 payload,
             }
@@ -373,7 +464,7 @@ macro_rules! future_ctors {
                 "select_any needs at least one conversation"
             );
             SelectAny {
-                reactor: Arc::clone(&self.driver.reactor),
+                interest: Interest::new(&self.driver.reactor),
                 ids: ids.to_vec(),
             }
         }
@@ -395,6 +486,7 @@ impl AsyncMpf {
         let backend = Arc::new(ThreadBackend {
             mpf: Arc::clone(&mpf),
             pid,
+            wake: WaitQueue::new(),
         });
         AsyncMpf {
             mpf,
@@ -444,7 +536,7 @@ impl AsyncIpc {
     pub fn new(ipc: Arc<IpcMpf>) -> Self {
         let backend = Arc::new(IpcBackend {
             ipc: Arc::clone(&ipc),
-            send_nap_us: AtomicU64::new(SEND_NAP_MIN_US),
+            idle: WaitQueue::new(),
         });
         AsyncIpc {
             ipc,
@@ -474,4 +566,94 @@ impl AsyncIpc {
     }
 
     future_ctors!(IpcBackend, IpcLnvcId);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block_on;
+    use std::task::Waker;
+
+    /// Polls `fut` once with a waker that does nothing.
+    fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
+        Pin::new(fut).poll(&mut Context::from_waker(Waker::noop()))
+    }
+
+    /// Drives `n` select-any rounds in which the future registers, one
+    /// member then fires, and the future resolves; plus `n` futures
+    /// dropped while pending and `n` deadlines that expire.  Nothing may
+    /// stay registered beyond one live select's members.
+    fn churn<B: Backend>(
+        reactor: &Arc<Reactor<B>>,
+        select: impl Fn() -> SelectAny<B>,
+        fire: impl Fn(usize),
+        n: usize,
+    ) {
+        for i in 0..n {
+            let mut fut = select();
+            assert!(poll_once(&mut fut).is_pending(), "nothing sent yet");
+            fire(i);
+            block_on(&mut fut).expect("fired member delivers");
+            assert!(reactor.pending() <= fut.ids.len());
+        }
+        for _ in 0..n {
+            let mut fut = select();
+            assert!(poll_once(&mut fut).is_pending());
+        }
+        for _ in 0..n {
+            let r = block_on(select().timeout(Duration::from_micros(10)));
+            assert_eq!(r.unwrap_err(), MpfError::TimedOut);
+        }
+        assert_eq!(
+            reactor.pending(),
+            0,
+            "resolved and dropped futures deregister"
+        );
+    }
+
+    #[test]
+    fn select_any_leaves_no_registrations_behind_thread_backend() {
+        let m = Arc::new(Mpf::init(mpf::MpfConfig::new(8, 4)).unwrap());
+        let (pa, pb) = (ProcessId::from_index(0), ProcessId::from_index(1));
+        let a = AsyncMpf::new(Arc::clone(&m), pa);
+        let tx = [
+            m.open_send(pb, "m0").unwrap(),
+            m.open_send(pb, "m1").unwrap(),
+        ];
+        let ids = [
+            a.open_receive("m0", Protocol::Fcfs).unwrap(),
+            a.open_receive("m1", Protocol::Fcfs).unwrap(),
+        ];
+        churn(
+            &a.driver.reactor,
+            || a.select_any(&ids),
+            |i| m.message_send(pb, tx[i % 2], b"fire").unwrap(),
+            1000,
+        );
+    }
+
+    #[test]
+    fn select_any_leaves_no_registrations_behind_ipc_backend() {
+        if !mpf_shm::sys::HAVE_SYSCALLS {
+            return;
+        }
+        let name = format!("aio-churn-{}", std::process::id());
+        let ipc = Arc::new(IpcMpf::create(&name, &mpf::MpfConfig::new(8, 4)).unwrap());
+        let peer = ipc.attach_view().unwrap();
+        let a = AsyncIpc::new(Arc::clone(&ipc));
+        let tx = [peer.open_send("m0").unwrap(), peer.open_send("m1").unwrap()];
+        let ids = [
+            a.open_receive("m0", Protocol::Fcfs).unwrap(),
+            a.open_receive("m1", Protocol::Fcfs).unwrap(),
+        ];
+        churn(
+            &a.driver.reactor,
+            || a.select_any(&ids),
+            |i| peer.message_send(tx[i % 2], b"fire").unwrap(),
+            1000,
+        );
+        for id in ids {
+            assert_eq!(ipc.lnvc_watchers(id).unwrap(), 0, "every watch dropped");
+        }
+    }
 }

@@ -187,8 +187,8 @@ fn ipc_send_pends_until_capacity_frees() {
         return;
     }
     // One block, one message: the second async send must wait until the
-    // receiver drains the first (covers the ipc reactor's poll-driven
-    // sender retry, since the region has no free signal).
+    // receiver drains the first (covers the free-space signal ringing the
+    // ipc reactor's doorbell).
     let cfg = MpfConfig::new(4, 4)
         .with_block_payload(32)
         .with_total_blocks(1)

@@ -404,3 +404,226 @@ fn ipc_dead_sender_conservation_random() {
     let opts = ExploreOpts::new("ipc-dead-sender-pct").max_schedules(150);
     explore_random(&opts, 0xC0FFE, ipc_dead_sender_case).assert_ok();
 }
+
+/// Doorbell wake-up.  A waiter view multi-waits on two conversations and
+/// the only send lands on the second, so it can wake only through the
+/// sender's doorbell ring.  Without a kill plan, a lost ring leaves the
+/// waiter parked with no runnable peer, which the harness reports as a
+/// deadlock.  With one (`when_killed_watching` is `Some`), the waiter may
+/// be killed at any decision point, including while its watches are held.
+/// Either way the watcher counts must return to zero: by the waiter's own
+/// unwatch, or by the dead-peer sweep returning a corpse's watches.
+/// Blocks are conserved in every schedule.
+///
+/// `when_killed_watching` is called once per schedule whose victim died
+/// holding a watch, so the caller can prove that kill point was reached.
+fn ipc_doorbell_case(when_killed_watching: Option<Arc<dyn Fn() + Send + Sync>>) -> Case {
+    let a = region("bell");
+    let w = a.attach_view().expect("waiter view");
+    let total = a.free_blocks();
+    let _t1 = a.open_send("bell-1").expect("open send 1");
+    let t2 = a.open_send("bell-2").expect("open send 2");
+    let r1 = w
+        .open_receive("bell-1", Protocol::Fcfs)
+        .expect("open recv 1");
+    let r2 = w
+        .open_receive("bell-2", Protocol::Fcfs)
+        .expect("open recv 2");
+    let a = Arc::new(a);
+    let w = Arc::new(w);
+    let checker = Arc::clone(&a);
+    let watching_at_death = Arc::new(AtomicBool::new(false));
+    let waiter = {
+        let w = Arc::clone(&w);
+        Box::new(move || {
+            let ready = w.wait_any_deadline(&[r1, r2], None).expect("wait any");
+            assert_eq!(ready, r2, "only the second member has traffic");
+            let mut buf = [0u8; 32];
+            let got = w.try_message_receive(r2, &mut buf).expect("recv");
+            assert!(got.is_some(), "the ready member must deliver");
+        }) as Proc
+    };
+    let sender = {
+        let a = Arc::clone(&a);
+        Box::new(move || a.message_send(t2, b"ring").expect("send")) as Proc
+    };
+    let death = when_killed_watching.is_some().then(|| {
+        let (a, w) = (Arc::clone(&a), Arc::clone(&w));
+        let watching = Arc::clone(&watching_at_death);
+        DeathPlan {
+            victims: vec![0],
+            on_death: Box::new(move |_tid: usize| {
+                // Hook-free: descriptor loads and stores.
+                let held = [r1, r2]
+                    .iter()
+                    .any(|&id| a.lnvc_watchers(id).unwrap_or(0) != 0);
+                watching.store(held, Ordering::Relaxed);
+                w.debug_abandon_slot();
+            }),
+        }
+    });
+    Case {
+        procs: vec![waiter, sender],
+        death,
+        check: Box::new(move || {
+            // Reap a corpse the way the next live process would.
+            checker.sweep_dead_peers();
+            if watching_at_death.load(Ordering::Relaxed) {
+                if let Some(f) = &when_killed_watching {
+                    f();
+                }
+            }
+            for (name, id) in [("bell-1", r1), ("bell-2", r2)] {
+                let n = checker.lnvc_watchers(id).unwrap_or(0);
+                if n != 0 {
+                    return Err(format!("{name} still counts {n} watcher(s) at teardown"));
+                }
+            }
+            if checker.free_waiters() != 0 {
+                return Err("free-space waiter count leaked".into());
+            }
+            if checker.free_blocks() != total {
+                return Err(format!(
+                    "doorbell case leaked blocks: {} free of {total}",
+                    checker.free_blocks()
+                ));
+            }
+            Ok(())
+        }),
+    }
+}
+
+#[test]
+fn ipc_doorbell_no_lost_wakeup_dfs() {
+    let opts = ExploreOpts::new("ipc-doorbell").max_schedules(300);
+    explore_dfs(&opts, || ipc_doorbell_case(None)).assert_ok();
+}
+
+#[test]
+fn ipc_doorbell_no_lost_wakeup_random() {
+    let opts = ExploreOpts::new("ipc-doorbell-pct").max_schedules(200);
+    explore_random(&opts, 0xBE11, || ipc_doorbell_case(None)).assert_ok();
+}
+
+#[test]
+fn ipc_doorbell_dead_waiter_watches_swept_dfs() {
+    let killed_watching = Arc::new(AtomicUsize::new(0));
+    let bump: Arc<dyn Fn() + Send + Sync> = {
+        let k = Arc::clone(&killed_watching);
+        Arc::new(move || {
+            k.fetch_add(1, Ordering::Relaxed);
+        })
+    };
+    let opts = ExploreOpts::new("ipc-doorbell-death").max_schedules(400);
+    explore_dfs(&opts, || ipc_doorbell_case(Some(Arc::clone(&bump)))).assert_ok();
+    assert!(
+        killed_watching.load(Ordering::Relaxed) > 0,
+        "DFS never killed the waiter while it held a watch"
+    );
+}
+
+/// Free-space wake-up.  The sender view's only message holds every
+/// block, so its next send blocks in `send_deadline` as a free waiter
+/// until the receiver view takes that message.  Without a kill plan, a
+/// lost free-space ring leaves the sender parked with no runnable peer (a
+/// reported deadlock), and every block comes back once the late message
+/// is drained.  With one, the sender may be killed at any decision point,
+/// including inside its registration; the dead-peer sweep must bring the
+/// region's free-waiter count back to zero either way.  (A sender killed
+/// between staging and linking a message leaks that message, as any
+/// mid-send death does, so the kill variant does not count blocks.)
+///
+/// `when_killed_waiting` is called once per schedule whose victim died
+/// registered as a free waiter, so the caller can prove that kill point
+/// was reached.
+fn ipc_free_waiter_case(when_killed_waiting: Option<Arc<dyn Fn() + Send + Sync>>) -> Case {
+    let a = region("free");
+    let v = a.attach_view().expect("sender view");
+    let total = a.free_blocks();
+    let tx = v.open_send("free").expect("open send");
+    let rx = a.open_receive("free", Protocol::Fcfs).expect("open recv");
+    v.message_send(tx, &[1u8; 16 * 32])
+        .expect("fill the blocks");
+    let a = Arc::new(a);
+    let v = Arc::new(v);
+    let checker = Arc::clone(&a);
+    let waiting_at_death = Arc::new(AtomicBool::new(false));
+    let sender = {
+        let v = Arc::clone(&v);
+        Box::new(move || v.send_deadline(tx, b"late", None).expect("blocked send")) as Proc
+    };
+    let receiver = {
+        let a = Arc::clone(&a);
+        Box::new(move || {
+            let mut buf = [0u8; 16 * 32];
+            let n = a.message_receive(rx, &mut buf).expect("recv");
+            assert_eq!(n, 16 * 32, "the filling message comes first");
+        }) as Proc
+    };
+    let killing = when_killed_waiting.is_some();
+    let death = killing.then(|| {
+        let v = Arc::clone(&v);
+        let waiting = Arc::clone(&waiting_at_death);
+        DeathPlan {
+            victims: vec![0],
+            on_death: Box::new(move |_tid: usize| {
+                // Hook-free: header loads and slot stores.
+                waiting.store(v.free_waiters() != 0, Ordering::Relaxed);
+                v.debug_abandon_slot();
+            }),
+        }
+    });
+    Case {
+        procs: vec![sender, receiver],
+        death,
+        check: Box::new(move || {
+            checker.sweep_dead_peers();
+            if waiting_at_death.load(Ordering::Relaxed) {
+                if let Some(f) = &when_killed_waiting {
+                    f();
+                }
+            }
+            let n = checker.free_waiters();
+            if n != 0 {
+                return Err(format!("{n} free waiter(s) still counted at teardown"));
+            }
+            if !killing {
+                let mut buf = [0u8; 32];
+                match checker.try_message_receive(rx, &mut buf) {
+                    Ok(Some(4)) if &buf[..4] == b"late" => {}
+                    other => return Err(format!("blocked send not delivered: {other:?}")),
+                }
+                if checker.free_blocks() != total {
+                    return Err(format!(
+                        "free-waiter case leaked blocks: {} free of {total}",
+                        checker.free_blocks()
+                    ));
+                }
+            }
+            Ok(())
+        }),
+    }
+}
+
+#[test]
+fn ipc_free_waiter_no_lost_wakeup_dfs() {
+    let opts = ExploreOpts::new("ipc-free-waiter").max_schedules(300);
+    explore_dfs(&opts, || ipc_free_waiter_case(None)).assert_ok();
+}
+
+#[test]
+fn ipc_free_waiter_dead_sender_count_swept_dfs() {
+    let killed_waiting = Arc::new(AtomicUsize::new(0));
+    let bump: Arc<dyn Fn() + Send + Sync> = {
+        let k = Arc::clone(&killed_waiting);
+        Arc::new(move || {
+            k.fetch_add(1, Ordering::Relaxed);
+        })
+    };
+    let opts = ExploreOpts::new("ipc-free-waiter-death").max_schedules(400);
+    explore_dfs(&opts, || ipc_free_waiter_case(Some(Arc::clone(&bump)))).assert_ok();
+    assert!(
+        killed_waiting.load(Ordering::Relaxed) > 0,
+        "DFS never killed the sender while it was registered"
+    );
+}

@@ -38,10 +38,10 @@ use mpf_shm::ShmRegion;
 
 use crate::shmem::{
     msg_flags, region_state, slot_state, LnvcDesc, MsgDesc, ProcessSlot, RecvDesc, RegionHeader,
-    RegistryEntry, SendDesc, NIL,
+    RegistryEntry, SendDesc, NIL, WATCH_ONE,
 };
 
-/// How long a blocked receive sleeps between liveness sweeps.
+/// How long a blocked call parks between liveness sweeps.
 const RECV_SWEEP_INTERVAL: Duration = Duration::from_millis(50);
 /// How long `attach` waits for the creator to finish carving.
 const ATTACH_BARRIER_TIMEOUT: Duration = Duration::from_secs(10);
@@ -202,6 +202,13 @@ pub struct IpcMpf {
 }
 
 impl IpcMpf {
+    /// The longest any blocked call parks before re-checking on its own:
+    /// it runs the dead-peer sweep at this interval, and a blocked sender
+    /// retries even if no free has signalled (a rival sender rolling
+    /// back a partial allocation does not signal; DESIGN.md, "Free
+    /// space").
+    pub const SWEEP_INTERVAL: Duration = RECV_SWEEP_INTERVAL;
+
     // -- construction --------------------------------------------------
 
     /// Creates the named region, carves it, and claims process slot 0.
@@ -667,7 +674,7 @@ impl IpcMpf {
                 self.fly(EV_POISONED, NIL, dead as u64);
                 self.trace_pop(TR_POISON, NIL, dead);
             }
-            d.waitq.notify_all();
+            self.wake_locked(d);
         }
     }
 
@@ -887,7 +894,7 @@ impl IpcMpf {
                 if let Some(existing) =
                     self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
                 {
-                    let have = self.recv(existing).protocol.load(Ordering::Acquire);
+                    let have = self.recv(existing).proto();
                     return Err(if have == proto_code(protocol) {
                         MpfError::AlreadyConnected
                     } else {
@@ -980,34 +987,7 @@ impl IpcMpf {
                 let conn = self
                     .unlink_conn(ConnKind::Recv, &d.recv_head, self.me)
                     .ok_or(MpfError::NotConnected)?;
-                let r = self.recv(conn);
-                let protocol = r.protocol.load(Ordering::Acquire);
-                let cursor = r.cursor.load(Ordering::Acquire);
-                self.header()
-                    .recv_free
-                    .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
-                if protocol == proto_code(Protocol::Broadcast) {
-                    d.n_bcast.fetch_sub(1, Ordering::AcqRel);
-                    self.release_bcast_claims(d, cursor);
-                } else {
-                    d.n_fcfs.fetch_sub(1, Ordering::AcqRel);
-                    // Obligation re-evaluation (DESIGN.md): if the last
-                    // FCFS receiver just left while BROADCAST receivers
-                    // keep the conversation alive, nobody in the current
-                    // connection set can ever take the owed messages —
-                    // drop the obligation so they become reclaimable
-                    // instead of pinning blocks until the LNVC dies.
-                    if d.n_fcfs.load(Ordering::Acquire) == 0
-                        && d.n_bcast.load(Ordering::Acquire) > 0
-                    {
-                        self.clear_fcfs_obligations(d);
-                    }
-                }
-                // Close is the slow path: sweep the whole queue, not just
-                // the head, so interior messages unpinned above (or
-                // consumed behind a still-claimed head) are returned too.
-                let freed = self.reclaim_consumed(d);
-                self.note_reclaim(idx, freed);
+                let protocol = self.release_recv_conn(idx, d, conn);
                 if d.total_connections() == 0 {
                     self.delete_conversation(idx, d);
                 }
@@ -1124,6 +1104,7 @@ impl IpcMpf {
             }
             Ok((stamp, trace, hop, (u32::from(needs_fcfs) << 16) | n_bcast))
         })();
+        let bells = self.watcher_slots(d);
         d.lock.unlock();
         match result {
             Ok((stamp, trace, hop, obligations)) => {
@@ -1143,6 +1124,7 @@ impl IpcMpf {
                     obligations,
                 );
                 d.waitq.notify_all();
+                self.ring_doorbells(&bells);
                 Ok(())
             }
             Err(e) => {
@@ -1296,89 +1278,107 @@ impl IpcMpf {
     }
 
     /// Deadline-bounded blocking send: where [`Self::message_send`]
-    /// surfaces pool exhaustion immediately, this retries (sweeping dead
-    /// peers between bounded naps so a vanished consumer poisons the
-    /// conversation rather than starving us) until the message is
-    /// enqueued or `deadline` passes ([`MpfError::TimedOut`]).  `None`
-    /// retries until the send succeeds or fails for a non-exhaustion
-    /// reason.
+    /// surfaces pool exhaustion immediately, this waits for space until
+    /// the message is enqueued or `deadline` passes
+    /// ([`MpfError::TimedOut`]).  `None` waits until the send succeeds or
+    /// fails for a non-exhaustion reason.
+    ///
+    /// The wait is the free-space protocol: the sender registers as a
+    /// free waiter, retries, and parks on its doorbell, which the next
+    /// free rings.  The park is bounded by the liveness-sweep interval, so
+    /// a consumer that died holding the pools is swept (freeing its
+    /// backlog) rather than starving us, and a retry that failed only on
+    /// a rival sender's partial allocation, whose rollback does not
+    /// signal, is repeated.
     pub fn send_deadline(
         &self,
         id: IpcLnvcId,
         payload: &[u8],
         deadline: Option<Instant>,
     ) -> Result<()> {
-        // Short naps: exhaustion clears when a receiver drains, which the
-        // sender cannot be notified about (there is no per-pool waitq in
-        // the region), so we poll with a bounded sleep.
-        const SEND_RETRY_NAP: Duration = Duration::from_millis(2);
-        loop {
-            match self.message_send(id, payload) {
-                Err(MpfError::MessagesExhausted) | Err(MpfError::BlocksExhausted) => {
-                    let now = Instant::now();
-                    if let Some(dl) = deadline {
-                        if now >= dl {
-                            return Err(MpfError::TimedOut);
-                        }
-                        std::thread::sleep(SEND_RETRY_NAP.min(dl - now));
-                    } else {
-                        std::thread::sleep(SEND_RETRY_NAP);
-                    }
-                    self.sweep_dead_peers();
-                }
-                other => return other,
-            }
+        match self.message_send(id, payload) {
+            Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
+            other => return other,
         }
+        self.watch_free();
+        let mut last_sweep = Instant::now();
+        let result = loop {
+            let bell = self.doorbell_ticket();
+            match self.message_send(id, payload) {
+                Err(MpfError::MessagesExhausted | MpfError::BlocksExhausted) => {}
+                other => break other,
+            }
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                break Err(MpfError::TimedOut);
+            }
+            self.park_doorbell(bell, deadline, &mut last_sweep);
+        };
+        self.unwatch_free();
+        result
     }
 
     /// Blocks until one of `ids` has a deliverable message and returns
     /// that conversation's id, or [`MpfError::TimedOut`] once `deadline`
     /// passes.  The wait-set analogue of `mpf-core`'s
-    /// `wait_any_deadline`; polls each conversation and naps on the
-    /// first one's futex between rounds (any send to any member bumps
-    /// its own sequence, so the nap is bounded, not notified — 2 ms
-    /// keeps cross-member wake latency tight).  An empty set is
-    /// [`MpfError::EmptyWaitSet`]; poisoning of any member surfaces as
-    /// its error.
+    /// `wait_any_deadline`.  An empty set is [`MpfError::EmptyWaitSet`];
+    /// poisoning of any member surfaces as its error.
+    ///
+    /// When nothing is ready it watches every member (so their senders
+    /// ring this process's doorbell), takes the doorbell ticket, checks
+    /// again, and parks on the doorbell.  Watches are dropped before
+    /// returning.  The park is bounded only by the deadline and the
+    /// liveness-sweep interval.
     pub fn wait_any_deadline(
         &self,
         ids: &[IpcLnvcId],
         deadline: Option<Instant>,
     ) -> Result<IpcLnvcId> {
-        const MULTI_NAP: Duration = Duration::from_millis(2);
         if ids.is_empty() {
             return Err(MpfError::EmptyWaitSet);
         }
         self.heartbeat();
-        let mut last_sweep = Instant::now();
-        loop {
-            // Tickets for every member before any predicate check, so a
-            // send racing the poll bumps a sequence we already hold.
-            let ticket = {
-                let (_, d0) = self.resolve(ids[0])?;
-                d0.waitq.ticket()
-            };
-            for &id in ids {
-                if self.check_receive(id)? {
-                    return Ok(id);
-                }
+        // Already ready: no watch needed.
+        for &id in ids {
+            if self.check_receive(id)? {
+                return Ok(id);
             }
-            let now = Instant::now();
-            if let Some(dl) = deadline {
-                if now >= dl {
+        }
+        let mut watched = 0;
+        let result = (|| {
+            for &id in ids {
+                self.watch_recv(id)?;
+                watched += 1;
+            }
+            let mut last_sweep = Instant::now();
+            loop {
+                // Watch, then ticket, then check: a send the check misses
+                // sees the watch and rings past the ticket.
+                let bell = self.doorbell_ticket();
+                for &id in ids {
+                    if self.check_receive(id)? {
+                        return Ok(id);
+                    }
+                }
+                if deadline.is_some_and(|dl| Instant::now() >= dl) {
                     return Err(MpfError::TimedOut);
                 }
+                self.park_doorbell(bell, deadline, &mut last_sweep);
             }
-            let nap = deadline.map_or(MULTI_NAP, |dl| MULTI_NAP.min(dl - now));
-            let (_, d0) = self.resolve(ids[0])?;
-            d0.waitq.wait(ticket, Some(nap));
-            // The liveness sweep is rate-limited to the usual receive
-            // cadence — 2 ms naps would otherwise probe heartbeats 25×
-            // too often.
-            if last_sweep.elapsed() >= RECV_SWEEP_INTERVAL {
-                self.sweep_dead_peers();
-                last_sweep = Instant::now();
-            }
+        })();
+        for &id in &ids[..watched] {
+            self.unwatch_recv(id);
+        }
+        result
+    }
+
+    /// Parks on this process's doorbell until it moves past `bell`, the
+    /// deadline passes, or the liveness-sweep interval elapses, running
+    /// the dead-peer sweep at that interval.
+    fn park_doorbell(&self, bell: u32, deadline: Option<Instant>, last_sweep: &mut Instant) {
+        self.wait_doorbell(bell, deadline);
+        if last_sweep.elapsed() >= RECV_SWEEP_INTERVAL {
+            self.sweep_dead_peers();
+            *last_sweep = Instant::now();
         }
     }
 
@@ -1433,6 +1433,8 @@ impl IpcMpf {
                 match retried {
                     Ok(b) => b,
                     Err(e) => {
+                        // A rollback, not a free: no signal (DESIGN.md,
+                        // "Free space").
                         h.msg_free
                             .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
                         return Err(e);
@@ -1655,12 +1657,14 @@ impl IpcMpf {
             }
             Ok((now, obligations))
         })();
+        let bells = self.watcher_slots(d);
         d.lock.unlock();
         match result {
             Ok((now, obligations)) => {
                 // One wake for the whole run — the amortisation the
                 // rings buy.
                 d.waitq.notify_all();
+                self.ring_doorbells(&bells);
                 if now != 0 {
                     for e in run {
                         self.fly_at(now, EV_SEND, idx, u64::from(e.arg1));
@@ -1721,7 +1725,8 @@ impl IpcMpf {
     /// Deadline-bounded [`Self::send_batch`]: keeps resubmitting the
     /// unstaged tail (draining and reaping between rounds, so completed
     /// descriptors release ring slots and pool memory) until every
-    /// payload is submitted or `deadline` passes.
+    /// payload is submitted or `deadline` passes.  A round that stages
+    /// nothing waits for free space as [`Self::send_deadline`] does.
     ///
     /// On expiry: [`MpfError::TimedOut`] if *nothing* was submitted;
     /// otherwise the completions gathered so far — a partial batch,
@@ -1733,30 +1738,30 @@ impl IpcMpf {
         payloads: &[&[u8]],
         deadline: Option<Instant>,
     ) -> Result<Vec<AioCompletion>> {
-        const BATCH_RETRY_NAP: Duration = Duration::from_millis(2);
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
         let mut out = Vec::with_capacity(payloads.len());
         let mut submitted = 0usize;
-        loop {
+        let mut watching = false;
+        let mut last_sweep = Instant::now();
+        let result = loop {
+            let bell = self.doorbell_ticket();
             // Tokens from `submit_sends` index the *slice* we hand it;
             // re-base them to the original batch after each reap.
             let base = submitted as u64;
-            match self.submit_sends(id, &payloads[submitted..]) {
-                Ok(n) => submitted += n,
-                // Ring full or pools dry: drain/reap below frees both,
-                // then retry until the deadline says otherwise.
+            let progressed = match self.submit_sends(id, &payloads[submitted..]) {
+                Ok(n) => {
+                    submitted += n;
+                    true
+                }
+                // Ring full or pools dry: drain/reap below frees both.
                 Err(
                     MpfError::WouldBlock | MpfError::MessagesExhausted | MpfError::BlocksExhausted,
-                ) => {}
-                Err(e) => {
-                    if submitted == 0 {
-                        return Err(e);
-                    }
-                    break;
-                }
-            }
+                ) => false,
+                Err(e) if submitted == 0 => break Err(e),
+                Err(_) => break Ok(()),
+            };
             self.drain_sends();
             let start = out.len();
             self.reap_completions(&mut out);
@@ -1764,23 +1769,30 @@ impl IpcMpf {
                 c.user_data += base;
             }
             if submitted >= payloads.len() {
-                break;
+                break Ok(());
             }
-            let now = Instant::now();
-            if let Some(dl) = deadline {
-                if now >= dl {
-                    if submitted == 0 {
-                        return Err(MpfError::TimedOut);
-                    }
-                    break;
-                }
-                std::thread::sleep(BATCH_RETRY_NAP.min(dl - now));
-            } else {
-                std::thread::sleep(BATCH_RETRY_NAP);
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                break if submitted == 0 {
+                    Err(MpfError::TimedOut)
+                } else {
+                    Ok(())
+                };
             }
-            self.sweep_dead_peers();
+            if progressed {
+                continue;
+            }
+            if !watching {
+                // Register, then retry once before the first park.
+                self.watch_free();
+                watching = true;
+                continue;
+            }
+            self.park_doorbell(bell, deadline, &mut last_sweep);
+        };
+        if watching {
+            self.unwatch_free();
         }
-        Ok(out)
+        result.map(|()| out)
     }
 
     /// Batched blocking receive: waits for traffic (running the liveness
@@ -1899,7 +1911,7 @@ impl IpcMpf {
             .find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me)
             .ok_or(MpfError::NotConnected)?;
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == proto_code(Protocol::Broadcast);
+        let bcast = r.proto() == proto_code(Protocol::Broadcast);
         // One clock read covers every trace record, latency sample, and
         // flight record this batch produces.
         let now = if self.tel_on || self.tracing() {
@@ -2015,15 +2027,151 @@ impl IpcMpf {
         Ok(self.resolve(id)?.1.waitq.ticket())
     }
 
-    /// Waits (bounded by `timeout`) for `id`'s wait queue to move past
-    /// `ticket`.  Returns `true` when the signal fired — or when the
-    /// conversation no longer resolves, so the caller re-polls and
-    /// surfaces the error instead of sleeping on a corpse.
-    pub fn wait_recv_signal(&self, id: IpcLnvcId, ticket: u32, timeout: Duration) -> bool {
-        match self.resolve(id) {
-            Ok((_, d)) => d.waitq.wait(ticket, Some(timeout)),
-            Err(_) => true,
+    // -- doorbells and watches ------------------------------------------
+
+    /// Current ticket of this process's doorbell.  Take it after
+    /// registering the watches a wait depends on and before re-checking
+    /// their predicates: a ring after that moves the doorbell past it.
+    pub fn doorbell_ticket(&self) -> u32 {
+        self.slot(self.me).doorbell.ticket()
+    }
+
+    /// Parks until this process's doorbell moves past `ticket`, `until`
+    /// passes, or the liveness-sweep interval elapses (the bound that
+    /// also recovers a dropped wake).  May return spuriously.
+    pub fn wait_doorbell(&self, ticket: u32, until: Option<Instant>) {
+        let timeout = until.map_or(RECV_SWEEP_INTERVAL, |at| {
+            RECV_SWEEP_INTERVAL.min(at.saturating_duration_since(Instant::now()))
+        });
+        self.slot(self.me).doorbell.wait(ticket, Some(timeout));
+    }
+
+    /// Rings this process's doorbell, waking every thread of this view
+    /// parked on it (the async reactor uses it for new registrations).
+    pub fn ring_doorbell(&self) {
+        self.slot(self.me).doorbell.notify_all();
+    }
+
+    /// Counts one multi-wait of this process as watching `id`, so every
+    /// send to it rings this process's doorbell until the matching
+    /// [`Self::unwatch_recv`].  The caller must hold a receive connection
+    /// on `id` ([`MpfError::NotConnected`] otherwise).
+    pub fn watch_recv(&self, id: IpcLnvcId) -> Result<()> {
+        self.adjust_watch(id, true)
+    }
+
+    /// Drops one watch taken by [`Self::watch_recv`].  A no-op when the
+    /// conversation or the connection is already gone (closing or
+    /// sweeping a connection drops its watches).
+    pub fn unwatch_recv(&self, id: IpcLnvcId) {
+        let _ = self.adjust_watch(id, false);
+    }
+
+    fn adjust_watch(&self, id: IpcLnvcId, up: bool) -> Result<()> {
+        let (_, d) = self.resolve(id)?;
+        self.lock_lnvc(d);
+        let conn = self.find_conn(ConnKind::Recv, d.recv_head.load(Ordering::Acquire), self.me);
+        if let Some(conn) = conn {
+            let r = self.recv(conn);
+            if up {
+                r.protocol.fetch_add(WATCH_ONE, Ordering::Relaxed);
+            } else if r.watches() != 0 {
+                r.protocol.fetch_sub(WATCH_ONE, Ordering::Relaxed);
+            }
         }
+        d.lock.unlock();
+        conn.map(|_| ()).ok_or(MpfError::NotConnected)
+    }
+
+    /// Registers one caller of this process as waiting for pool space:
+    /// until [`Self::unwatch_free`], every free bumps
+    /// [`Self::free_ticket`] and rings this process's doorbell.  Retry
+    /// the allocation after this call, before parking.
+    pub fn watch_free(&self) {
+        // Both counts change under the registry lock, so the dead-peer
+        // sweep can recount the region total from the slots' shares even
+        // when a process died between the two increments.  Only a send
+        // that was already refused gets here.
+        let _ = self.with_registry(|| {
+            self.header().free_waiters.fetch_add(1, Ordering::SeqCst);
+            self.slot(self.me).free_waits.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+    }
+
+    /// Drops one registration taken by [`Self::watch_free`].
+    pub fn unwatch_free(&self) {
+        let _ = self.with_registry(|| {
+            // Zero only if a sweep already reaped this slot as dead and
+            // returned its share.
+            if self.slot(self.me).free_waits.load(Ordering::SeqCst) != 0 {
+                self.slot(self.me).free_waits.fetch_sub(1, Ordering::SeqCst);
+                self.header().free_waiters.fetch_sub(1, Ordering::SeqCst);
+            }
+            Ok(())
+        });
+    }
+
+    /// Current free-space sequence: moves whenever a free finds a waiter
+    /// registered.  Take it after [`Self::watch_free`] and before the
+    /// retry it guards.
+    pub fn free_ticket(&self) -> u32 {
+        self.header().free_seq.load(Ordering::SeqCst)
+    }
+
+    /// Multi-waits currently watching `id`: the sum of its receive
+    /// connections' watch counts (diagnostic).  Walks the connection list
+    /// without the lock (it must stay hook-free for mpf-check's death
+    /// callbacks), so a racing open or close can skew one reading.
+    pub fn lnvc_watchers(&self, id: IpcLnvcId) -> Result<u32> {
+        let (_, d) = self.resolve(id)?;
+        let mut n = 0;
+        let mut cur = d.recv_head.load(Ordering::Acquire);
+        while cur != NIL {
+            let r = self.recv(cur);
+            n += r.watches();
+            cur = r.next.load(Ordering::Acquire);
+        }
+        Ok(n)
+    }
+
+    /// Callers currently registered as waiting for pool space, region-wide
+    /// (diagnostic).
+    pub fn free_waiters(&self) -> u32 {
+        self.header().free_waiters.load(Ordering::Acquire)
+    }
+
+    /// Doorbell slots of `d`'s watching receivers, collected under `d`'s
+    /// lock so the caller can ring them after moving `d.waitq` (the async
+    /// reactor tests readiness by that sequence).  Walks the receive
+    /// list; it allocates only when someone watches.
+    fn watcher_slots(&self, d: &LnvcDesc) -> Vec<u32> {
+        let mut bells = Vec::new();
+        let mut cur = d.recv_head.load(Ordering::Acquire);
+        while cur != NIL {
+            let r = self.recv(cur);
+            if r.watches() != 0 {
+                bells.push(r.pid.load(Ordering::Acquire));
+            }
+            cur = r.next.load(Ordering::Acquire);
+        }
+        bells
+    }
+
+    /// Rings the doorbells [`Self::watcher_slots`] collected.
+    fn ring_doorbells(&self, bells: &[u32]) {
+        for &p in bells {
+            self.slot(p).doorbell.notify_all();
+        }
+    }
+
+    /// Wakes everything blocked on `d` — its wait queue, then its
+    /// watchers' doorbells.  For slow paths (poisoning) that change state
+    /// under the lock.  Caller holds `d`'s lock.
+    fn wake_locked(&self, d: &LnvcDesc) {
+        d.waitq.notify_all();
+        let bells = self.watcher_slots(d);
+        self.ring_doorbells(&bells);
     }
 
     // -- receive internals ---------------------------------------------
@@ -2060,7 +2208,7 @@ impl IpcMpf {
         let hop = m.hop.load(Ordering::Acquire);
         self.gather(m, &mut buf[..len]);
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == proto_code(Protocol::Broadcast);
+        let bcast = r.proto() == proto_code(Protocol::Broadcast);
         if bcast {
             r.cursor
                 .store(m.seq.load(Ordering::Acquire) + 1, Ordering::Release);
@@ -2113,7 +2261,7 @@ impl IpcMpf {
     /// First queued message deliverable to connection `conn`.
     fn next_deliverable(&self, d: &LnvcDesc, conn: u32) -> Option<u32> {
         let r = self.recv(conn);
-        let bcast = r.protocol.load(Ordering::Acquire) == proto_code(Protocol::Broadcast);
+        let bcast = r.proto() == proto_code(Protocol::Broadcast);
         let cursor = r.cursor.load(Ordering::Acquire);
         let mut cur = d.q_head.load(Ordering::Acquire);
         while cur != NIL {
@@ -2272,6 +2420,9 @@ impl IpcMpf {
                     tail = b;
                 }
                 None => {
+                    // Rolls back this caller's own partial hold, so it
+                    // does not signal: a blocked sender's failed retry
+                    // would ring its own doorbell and spin.
                     self.free_block_chain(head);
                     return Err(MpfError::BlocksExhausted);
                 }
@@ -2344,6 +2495,27 @@ impl IpcMpf {
         self.header()
             .msg_free
             .push(m_idx, |s, n| self.msg(s).next.store(n, Ordering::Release));
+        self.signal_free();
+    }
+
+    /// The freer's half of the free-space protocol, run after every push
+    /// back to the pools: with no waiter registered it is one load; else
+    /// it bumps the free-space sequence and rings the doorbell of every
+    /// process with a waiter.  Pool pushes and the waiter counts are all
+    /// `SeqCst`, so either the waiter's retry sees this push or this load
+    /// sees the waiter (DESIGN.md, "Free space").
+    fn signal_free(&self) {
+        let h = self.header();
+        if h.free_waiters.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        h.free_seq.fetch_add(1, Ordering::SeqCst);
+        for p in 0..self.counts.max_processes {
+            let s = self.slot(p);
+            if s.free_waits.load(Ordering::SeqCst) != 0 {
+                s.doorbell.notify_all();
+            }
+        }
     }
 
     // -- conversation lifecycle (registry lock held) --------------------
@@ -2520,6 +2692,41 @@ impl IpcMpf {
         None
     }
 
+    /// Retires a receive connection just unlinked from conversation
+    /// `idx` (a close, or the sweep of a corpse): frees the descriptor
+    /// (and with it the connection's watches), settles the receiver
+    /// counts and what the departed receiver was owed, and reclaims.
+    /// Returns the protocol code.  Caller holds `d`'s lock.
+    fn release_recv_conn(&self, idx: u32, d: &LnvcDesc, conn: u32) -> u32 {
+        let r = self.recv(conn);
+        let protocol = r.proto();
+        let cursor = r.cursor.load(Ordering::Acquire);
+        self.header()
+            .recv_free
+            .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
+        if protocol == proto_code(Protocol::Broadcast) {
+            d.n_bcast.fetch_sub(1, Ordering::AcqRel);
+            self.release_bcast_claims(d, cursor);
+        } else {
+            d.n_fcfs.fetch_sub(1, Ordering::AcqRel);
+            // Obligation re-evaluation (DESIGN.md): if the last FCFS
+            // receiver just left while BROADCAST receivers keep the
+            // conversation alive, nobody in the current connection set
+            // can ever take the owed messages — drop the obligation so
+            // they become reclaimable instead of pinning blocks until the
+            // LNVC dies.
+            if d.n_fcfs.load(Ordering::Acquire) == 0 && d.n_bcast.load(Ordering::Acquire) > 0 {
+                self.clear_fcfs_obligations(d);
+            }
+        }
+        // The slow path: sweep the whole queue, not just the head, so
+        // interior messages unpinned above (or consumed behind a
+        // still-claimed head) are returned too.
+        let freed = self.reclaim_consumed(d);
+        self.note_reclaim(idx, freed);
+        protocol
+    }
+
     // -- dead-peer robustness ------------------------------------------
 
     /// Scans the heartbeat table for attached processes whose OS process
@@ -2567,6 +2774,15 @@ impl IpcMpf {
                 // registry → LNVC order, same as open/close.  Corpses
                 // are rare; the lock hold is not on any fast path.
                 let _ = self.with_registry(|| {
+                    // A corpse blocked on pool space still counts as a
+                    // free waiter, possibly only in the region total if
+                    // it died between the two increments: drop its share
+                    // and recount the total from the slots.
+                    s.free_waits.store(0, Ordering::SeqCst);
+                    let live: u32 = (0..self.counts.max_processes)
+                        .map(|q| self.slot(q).free_waits.load(Ordering::SeqCst))
+                        .sum();
+                    self.header().free_waiters.store(live, Ordering::SeqCst);
                     self.sweep_connections_of(p);
                     Ok(())
                 });
@@ -2607,27 +2823,9 @@ impl IpcMpf {
                 touched = true;
             }
             if let Some(conn) = self.unlink_conn(ConnKind::Recv, &d.recv_head, dead) {
-                let r = self.recv(conn);
-                let protocol = r.protocol.load(Ordering::Acquire);
-                let cursor = r.cursor.load(Ordering::Acquire);
-                self.header()
-                    .recv_free
-                    .push(conn, |s, n| self.recv(s).next.store(n, Ordering::Release));
-                if protocol == proto_code(Protocol::Broadcast) {
-                    d.n_bcast.fetch_sub(1, Ordering::AcqRel);
-                    self.release_bcast_claims(d, cursor);
-                } else {
-                    d.n_fcfs.fetch_sub(1, Ordering::AcqRel);
-                    // Same re-evaluation as close_receive: sweeping a dead
-                    // FCFS receiver must not strand its obligations.
-                    if d.n_fcfs.load(Ordering::Acquire) == 0
-                        && d.n_bcast.load(Ordering::Acquire) > 0
-                    {
-                        self.clear_fcfs_obligations(d);
-                    }
-                }
-                let freed = self.reclaim_consumed(d);
-                self.note_reclaim(idx, freed);
+                // Returns the corpse's watches too, so the conversation's
+                // watcher count falls back to the survivors' share.
+                self.release_recv_conn(idx, d, conn);
                 touched = true;
             }
             let orphaned = touched && d.total_connections() == 0;
@@ -2655,12 +2853,10 @@ impl IpcMpf {
                 d.q_head.store(NIL, Ordering::Release);
                 d.q_tail.store(NIL, Ordering::Release);
                 d.msg_count.store(0, Ordering::Release);
+                // Unblock survivors; they will observe the poison.
+                self.wake_locked(d);
             }
             d.lock.unlock();
-            if touched && !orphaned {
-                // Unblock survivors; they will observe the poison.
-                d.waitq.notify_all();
-            }
         }
     }
 

@@ -103,7 +103,10 @@ impl ConfigEcho {
 ///
 /// Lock-free, so a process dying mid-allocation can never strand the
 /// list in a locked state (at worst it leaks the one slot it had just
-/// popped).
+/// popped).  Head reads and swaps are `SeqCst` so they share one total
+/// order with the free-space waiter count: a blocked sender either sees
+/// a freer's push or the freer sees the sender waiting (DESIGN.md, "Free
+/// space").  On x86 that costs nothing over acquire/release.
 #[repr(C)]
 #[derive(Debug)]
 pub struct FreeHead {
@@ -129,8 +132,8 @@ impl FreeHead {
             match self.word.compare_exchange_weak(
                 cur,
                 Self::pack(tag.wrapping_add(1), idx),
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             ) {
                 Ok(_) => return,
                 Err(seen) => cur = seen,
@@ -145,7 +148,7 @@ impl FreeHead {
 
     /// Pops a slot index; `next_of` reads the link field of a slot.
     pub fn pop(&self, next_of: impl Fn(u32) -> u32) -> Option<u32> {
-        let mut cur = self.word.load(Ordering::Acquire);
+        let mut cur = self.word.load(Ordering::SeqCst);
         loop {
             let (tag, head) = ((cur >> 32) as u32, cur as u32);
             if head == NIL {
@@ -155,8 +158,8 @@ impl FreeHead {
             match self.word.compare_exchange_weak(
                 cur,
                 Self::pack(tag.wrapping_add(1), next),
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             ) {
                 Ok(_) => return Some(head),
                 Err(seen) => cur = seen,
@@ -205,7 +208,17 @@ pub struct RegionHeader {
     pub next_stamp: AtomicU64,
     /// Liveness-sweep epoch (diagnostic; bumped per completed sweep).
     pub sweep_epoch: AtomicU32,
-    _pad: [u8; REGION_HEADER_BYTES - 124],
+    /// Free-space sequence: bumped by every message free that finds
+    /// [`Self::free_waiters`] non-zero, before it rings the waiters'
+    /// doorbells.  Async senders take it as their ticket.
+    pub free_seq: AtomicU32,
+    /// Callers blocked on pool exhaustion, region-wide (the sum of every
+    /// slot's [`ProcessSlot::free_waits`]; both change under the registry
+    /// lock).  Frees load it after their
+    /// push and skip all signalling while it is zero.  Starts a fresh
+    /// cache line, so the per-free load never contends with the pool heads.
+    pub free_waiters: AtomicU32,
+    _pad: [u8; REGION_HEADER_BYTES - 132],
 }
 
 /// Process-slot state values.
@@ -230,10 +243,17 @@ pub struct ProcessSlot {
     /// Incarnation count: bumped each time the slot is (re)claimed, so a
     /// recycled slot is distinguishable from its dead predecessor.
     pub generation: AtomicU32,
-    _pad0: u32,
+    /// The owner's doorbell: every multi-wait of this process (wait-any,
+    /// blocked senders, the async reactor) parks here, and senders ring
+    /// it for conversations the owner watches.
+    pub doorbell: FutexSeq,
     /// Bumped on every primitive the owner executes.
     pub heartbeat: AtomicU64,
-    _pad: [u8; PROCESS_SLOT_BYTES - 24],
+    /// This process's share of [`RegionHeader::free_waiters`]; frees ring
+    /// the doorbell of every slot where it is non-zero, and the dead-peer
+    /// sweep zeroes a corpse's share and recounts the region total.
+    pub free_waits: AtomicU32,
+    _pad: [u8; PROCESS_SLOT_BYTES - 28],
 }
 
 impl ProcessSlot {
@@ -336,12 +356,32 @@ pub struct RecvDesc {
     pub pid: AtomicU32,
     /// Next receive descriptor on the LNVC (or free-list link).
     pub next: AtomicU32,
-    /// `Protocol::as_u32() + 1` (0 would be ambiguous with zeroed slots).
+    /// Low byte: `Protocol::as_u32() + 1` (0 would be ambiguous with
+    /// zeroed slots).  The bits above count the owner's multi-waits
+    /// watching this conversation ([`WATCH_ONE`] each); both change only
+    /// under the LNVC lock.
     pub protocol: AtomicU32,
     /// Broadcast cursor: the smallest [`MsgDesc::seq`] this receiver is
     /// owed (set to the LNVC's `next_seq` at open, per the paper's
     /// "new messages only" BROADCAST join rule).
     pub cursor: AtomicU32,
+}
+
+/// [`RecvDesc::protocol`] bits holding the protocol code.
+pub const PROTO_MASK: u32 = 0xff;
+/// One watch in [`RecvDesc::protocol`]'s count.
+pub const WATCH_ONE: u32 = PROTO_MASK + 1;
+
+impl RecvDesc {
+    /// The protocol code, without the watch count.
+    pub fn proto(&self) -> u32 {
+        self.protocol.load(Ordering::Acquire) & PROTO_MASK
+    }
+
+    /// How many of the owner's multi-waits watch this conversation.
+    pub fn watches(&self) -> u32 {
+        self.protocol.load(Ordering::Acquire) / WATCH_ONE
+    }
 }
 
 /// One LNVC descriptor: the paper's per-conversation structure.

@@ -189,3 +189,123 @@ fn send_batch_deadline_times_out_when_nothing_submits() {
         .unwrap_err();
     assert_eq!(err, MpfError::TimedOut);
 }
+
+/// Runs `f` on a helper thread and fails the test if it has not finished
+/// within `limit`: a lost doorbell ring shows up as a hang, not a pass.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .expect("blocked call did not return within the watchdog")
+}
+
+#[test]
+fn wait_any_without_deadline_wakes_on_send_to_second_member() {
+    let a = Arc::new(region("dl-any-bell"));
+    let b = a.attach_view().unwrap();
+    let _t1 = a.open_send("first").unwrap();
+    let r1 = a.open_receive("first", Protocol::Fcfs).unwrap();
+    let t2 = b.open_send("second").unwrap();
+    let r2 = a.open_receive("second", Protocol::Fcfs).unwrap();
+    let waiter = {
+        let a = Arc::clone(&a);
+        std::thread::spawn(move || {
+            let ready = a.wait_any_deadline(&[r1, r2], None);
+            (ready, Instant::now())
+        })
+    };
+    // Let the waiter watch both members and park on its doorbell.
+    while a.lnvc_watchers(r2).unwrap() == 0 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(5));
+    let sent = Instant::now();
+    b.message_send(t2, b"second member").unwrap();
+    let (ready, woke) = within(Duration::from_secs(5), move || waiter.join().unwrap());
+    assert_eq!(ready.unwrap(), r2);
+    eprintln!("doorbell wake latency {:?}", woke - sent);
+    assert_eq!(a.lnvc_watchers(r1).unwrap(), 0, "watch dropped on return");
+    assert_eq!(a.lnvc_watchers(r2).unwrap(), 0, "watch dropped on return");
+}
+
+#[test]
+fn send_deadline_parks_until_a_receive_frees_space() {
+    let a = Arc::new(region("dl-send-bell"));
+    let b = a.attach_view().unwrap();
+    let tx = a.open_send("full").unwrap();
+    let rx = b.open_receive("full", Protocol::Fcfs).unwrap();
+    for i in 0..8 {
+        a.message_send(tx, &[i; 64]).unwrap();
+    }
+    let waits_before = a.telemetry_snapshot().send_waits;
+    let sender = {
+        let a = Arc::clone(&a);
+        std::thread::spawn(move || {
+            a.send_deadline(tx, &[9; 64], None).unwrap();
+            Instant::now()
+        })
+    };
+    while a.free_waiters() == 0 {
+        std::thread::yield_now();
+    }
+    // Stay blocked across two liveness-sweep intervals: a nap-and-retry
+    // loop would make dozens of attempts here, a parked sender a handful.
+    std::thread::sleep(Duration::from_millis(120));
+    let freed = Instant::now();
+    let mut buf = [0u8; 64];
+    assert_eq!(b.message_receive(rx, &mut buf).unwrap(), 64);
+    let done = within(Duration::from_secs(5), move || sender.join().unwrap());
+    eprintln!("free-space wake latency {:?}", done - freed);
+    let attempts = a.telemetry_snapshot().send_waits - waits_before;
+    assert!(
+        attempts <= 6,
+        "{attempts} refused attempts while blocked: the sender is polling"
+    );
+    assert_eq!(a.free_waiters(), 0, "registration dropped on return");
+    for i in 1..8 {
+        assert_eq!(b.message_receive(rx, &mut buf).unwrap(), 64);
+        assert_eq!(buf, [i; 64]);
+    }
+    assert_eq!(b.message_receive(rx, &mut buf).unwrap(), 64);
+    assert_eq!(buf, [9; 64], "the blocked send was enqueued last");
+}
+
+#[test]
+fn send_deadline_parks_when_blocks_run_out_before_message_slots() {
+    let a = Arc::new(region("dl-send-blocks"));
+    let b = a.attach_view().unwrap();
+    let tx = a.open_send("full").unwrap();
+    let rx = b.open_receive("full", Protocol::Fcfs).unwrap();
+    // One message holds every block and leaves seven message slots free,
+    // so each refused attempt pops a slot and rolls it back.
+    a.message_send(tx, &[7; 8 * 64]).unwrap();
+    let waits_before = a.telemetry_snapshot().send_waits;
+    let sender = {
+        let a = Arc::clone(&a);
+        std::thread::spawn(move || {
+            a.send_deadline(tx, &[9; 64], None).unwrap();
+            Instant::now()
+        })
+    };
+    while a.free_waiters() == 0 {
+        std::thread::yield_now();
+    }
+    // A rollback that rang the sender's own doorbell would turn this
+    // wait into a hot loop of refused attempts.
+    std::thread::sleep(Duration::from_millis(120));
+    let freed = Instant::now();
+    let mut buf = [0u8; 8 * 64];
+    assert_eq!(b.message_receive(rx, &mut buf).unwrap(), 8 * 64);
+    let done = within(Duration::from_secs(5), move || sender.join().unwrap());
+    eprintln!("free-space wake latency {:?}", done - freed);
+    let attempts = a.telemetry_snapshot().send_waits - waits_before;
+    assert!(
+        attempts <= 6,
+        "{attempts} refused attempts while blocked: the sender is spinning"
+    );
+    assert_eq!(a.free_waiters(), 0, "registration dropped on return");
+    assert_eq!(b.message_receive(rx, &mut buf).unwrap(), 64);
+    assert_eq!(buf[..64], [9; 64]);
+}

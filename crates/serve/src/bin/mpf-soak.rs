@@ -661,8 +661,8 @@ fn driver_ipc(args: &Args) -> i32 {
 
     // -- fault_plane: clients run under deterministic injected faults ---
     // Delay-class sites (dropped notifies, lock stalls) plus absorbed
-    // pool exhaustion: the facility's bounded naps and `send_deadline`
-    // retry loops must hide every injection — the SLO gate still
+    // pool exhaustion: the facility's sweep-bounded parks and
+    // `send_deadline`'s free-space wait must hide every injection — the SLO gate still
     // requires each call verified.  Peer-death injection stays out of
     // the soak (a lied-about server death triggers a real 10 s epoch
     // discovery); mpf-check's modeled death covers that plane.

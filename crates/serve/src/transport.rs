@@ -1,12 +1,14 @@
 //! The backend seam: one trait the server, workers, and clients speak,
 //! with three implementations.
 //!
-//! * [`IpcTransport`] — the production shape: wraps
-//!   [`mpf_aio::AsyncIpc`], driving its futures with
-//!   [`mpf_aio::block_on_deadline`] so every blocking operation is
-//!   timeout-capable (the reactor multiplexes the actual waiting).
-//! * [`ThreadTransport`] — same, over [`mpf_aio::AsyncMpf`] for the
-//!   in-process backend: unit tests and the threads soak variant.
+//! * [`IpcTransport`] — the production shape: calls `IpcMpf`'s own
+//!   deadline-bounded blocking primitives on the calling thread
+//!   (`send_deadline`, `recv_batch_deadline`, and `wait_any_deadline`
+//!   parked on the process doorbell), so a request wakes its worker
+//!   directly, with no reactor hop and no payload copy.
+//! * [`ThreadTransport`] — over [`mpf_aio::AsyncMpf`] for the in-process
+//!   backend, driving its futures with [`mpf_aio::block_on_deadline`]:
+//!   unit tests and the threads soak variant.
 //! * [`SyncTransport`] — a deliberately timeout-free synchronous shape
 //!   over `mpf::Mpf`'s blocking primitives, for `mpf-check` schedule
 //!   exploration: every block goes through the hooked waitqs the
@@ -85,8 +87,9 @@ pub trait Transport: Send + Sync + 'static {
 // IPC (multi-process) transport
 // ----------------------------------------------------------------------
 
-/// Production transport: [`AsyncIpc`] futures driven to completion (or
-/// deadline) on the calling thread.
+/// Production transport over an [`AsyncIpc`]'s region view.  Every
+/// blocking call goes straight to the view's deadline-bounded primitives;
+/// the facade's reactor is left idle.
 pub struct IpcTransport(pub AsyncIpc);
 
 impl Transport for IpcTransport {
@@ -114,19 +117,18 @@ impl Transport for IpcTransport {
         payload: &[u8],
         deadline: Option<Instant>,
     ) -> Result<bool> {
-        match deadline {
-            None => block_on(self.0.send(id, payload.to_vec())).map(|()| true),
-            Some(dl) => match block_on_deadline(self.0.send(id, payload.to_vec()), dl) {
-                Some(r) => r.map(|()| true),
-                None => Ok(false),
-            },
+        match self.0.facility().send_deadline(id, payload, deadline) {
+            Ok(()) => Ok(true),
+            Err(MpfError::TimedOut) => Ok(false),
+            Err(e) => Err(e),
         }
     }
 
     fn recv_deadline(&self, id: IpcLnvcId, deadline: Option<Instant>) -> Result<Option<Vec<u8>>> {
-        match deadline {
-            None => block_on(self.0.recv(id)).map(Some),
-            Some(dl) => block_on_deadline(self.0.recv(id), dl).transpose(),
+        match self.0.facility().recv_batch_deadline(id, 1, deadline) {
+            Ok(mut batch) => Ok(batch.pop()),
+            Err(MpfError::TimedOut) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
@@ -135,9 +137,18 @@ impl Transport for IpcTransport {
         ids: &[IpcLnvcId],
         deadline: Option<Instant>,
     ) -> Result<Option<(IpcLnvcId, Vec<u8>)>> {
-        match deadline {
-            None => block_on(self.0.select_any(ids)).map(Some),
-            Some(dl) => block_on_deadline(self.0.select_any(ids), dl).transpose(),
+        // `wait_any_deadline` names a conversation with a pending message,
+        // but an FCFS rival may take it before our try — loop.
+        let ipc = self.0.facility();
+        loop {
+            let ready = match ipc.wait_any_deadline(ids, deadline) {
+                Ok(id) => id,
+                Err(MpfError::TimedOut) => return Ok(None),
+                Err(e) => return Err(e),
+            };
+            if let Some(msg) = ipc.try_message_receive_vec(ready)? {
+                return Ok(Some((ready, msg)));
+            }
         }
     }
 

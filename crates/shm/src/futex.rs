@@ -49,7 +49,9 @@ pub fn futex_wake_one(word: &AtomicU32) -> u32 {
 
 /// Wakes every waiter sleeping on `word`.  Returns how many woke.
 pub fn futex_wake_all(word: &AtomicU32) -> u32 {
-    sys::futex_wake_raw(word.as_ptr(), u32::MAX)
+    // The kernel reads the count as a signed int: `u32::MAX` would be -1,
+    // which wakes exactly one waiter.
+    sys::futex_wake_raw(word.as_ptr(), i32::MAX as u32)
 }
 
 /// `true` unless the kernel positively reports the process gone
@@ -99,5 +101,36 @@ mod tests {
         word.store(1, Ordering::Release);
         futex_wake_all(&word);
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn wake_all_releases_every_waiter() {
+        let word = Arc::new(AtomicU32::new(0));
+        let parked = Arc::new(AtomicU32::new(0));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let (word, parked) = (Arc::clone(&word), Arc::clone(&parked));
+                std::thread::spawn(move || {
+                    parked.fetch_add(1, Ordering::AcqRel);
+                    // One long wait: a waiter the wake skips stays asleep
+                    // for the full timeout instead of re-checking.
+                    futex_wait(&word, 0, Some(Duration::from_secs(10)));
+                })
+            })
+            .collect();
+        while parked.load(Ordering::Acquire) < 3 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let start = std::time::Instant::now();
+        word.store(1, Ordering::Release);
+        futex_wake_all(&word);
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "futex_wake_all left waiters asleep"
+        );
     }
 }

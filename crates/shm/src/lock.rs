@@ -265,6 +265,12 @@ pub struct IpcLock {
 /// How long an [`IpcLock`] acquirer waits between liveness probes.
 pub const IPC_LOCK_PATIENCE: Duration = Duration::from_millis(20);
 
+/// Re-tries a contended [`IpcLock`] acquirer makes before parking.
+/// Conversation critical sections are a few hundred nanoseconds, so a
+/// short spin usually outlasts the holder and saves the futex sleep/wake
+/// pair; a long one burns the copy bandwidth large messages need.
+const IPC_LOCK_SPIN: u32 = 40;
+
 impl IpcLock {
     /// New, unlocked, unpoisoned.
     pub const fn new() -> Self {
@@ -338,15 +344,20 @@ impl IpcLock {
         let mut contended = false;
         if !self.try_lock(me) {
             contended = true;
-            loop {
-                if self.state.swap(2, Ordering::Acquire) == 0 {
-                    self.owner.store(me, Ordering::Relaxed);
-                    break;
-                }
-                futex::futex_wait(&self.state, 2, Some(IPC_LOCK_PATIENCE));
-                let holder = self.owner.load(Ordering::Relaxed);
-                if holder != 0 && holder != me && !is_alive(holder) {
-                    self.break_dead_holder(holder);
+            // Spin only before the first park: a woken waiter must take
+            // the lock as contended (swap to 2), or the waiters still
+            // asleep behind it would miss their wake at its release.
+            if !self.spin_try_lock(me) {
+                loop {
+                    if self.state.swap(2, Ordering::Acquire) == 0 {
+                        self.owner.store(me, Ordering::Relaxed);
+                        break;
+                    }
+                    futex::futex_wait(&self.state, 2, Some(IPC_LOCK_PATIENCE));
+                    let holder = self.owner.load(Ordering::Relaxed);
+                    if holder != 0 && holder != me && !is_alive(holder) {
+                        self.break_dead_holder(holder);
+                    }
                 }
             }
         }
@@ -358,6 +369,19 @@ impl IpcLock {
             },
             contended,
         )
+    }
+
+    /// Bounded spin after a failed first try: `true` once acquired.  The
+    /// spinner never marks the lock contended (state 2), so a release it
+    /// outwaits needs no futex wake.
+    fn spin_try_lock(&self, me: u32) -> bool {
+        for _ in 0..IPC_LOCK_SPIN {
+            std::hint::spin_loop();
+            if self.state.load(Ordering::Relaxed) == 0 && self.try_lock(me) {
+                return true;
+            }
+        }
+        false
     }
 
     /// Breaks a lock whose recorded holder is known dead: poison, bump
