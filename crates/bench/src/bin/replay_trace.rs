@@ -1,11 +1,11 @@
 //! Cross-architecture cost estimation from a measured schedule: records a
-//! native MPF run with the event tracer, then replays it on the Balance
-//! 21000 model — the paper's §1 "performance penalties when moving from
-//! one type architecture to another", answered with data.
+//! native MPF run in the per-process trace rings, then replays it on the
+//! Balance 21000 model — the paper's §1 "performance penalties when moving
+//! from one type architecture to another", answered with data.
 //!
 //! Usage: `replay_trace [senders] [msgs] [len]`
 
-use mpf_bench::replay::{trace_to_schedule, traced_fanin};
+use mpf_bench::replay::{native_summary, trace_to_schedule, traced_fanin};
 use mpf_sim::{replay, CostModel, MachineConfig};
 
 fn main() {
@@ -16,21 +16,21 @@ fn main() {
 
     println!("recording: {senders} senders x {msgs} messages x {len} B -> 1 FCFS receiver\n");
     let log = traced_fanin(senders, msgs, len);
-    let native = log.summary();
+    let native = native_summary(&log);
     println!("native host:");
     println!("  span            {:>12.3} ms", native.span_ns as f64 / 1e6);
-    println!("  send throughput {:>12.0} B/s", native.send_throughput);
+    println!("  send throughput {:>12.0} B/s", native.send_throughput());
     println!(
         "  mean latency    {:>12.3} us (max {:.3} us, {} matched)",
         native.mean_latency_ns / 1e3,
         native.max_latency_ns as f64 / 1e3,
         native.matched
     );
-    println!("  receiver blocked {} times", native.recv_blocks);
+    println!("  receiver woke   {:>12} times", native.wakeups);
 
     let machine = MachineConfig::balance21000();
     let costs = CostModel::calibrated(&machine);
-    let schedule = trace_to_schedule(&log, &[], 0.0);
+    let schedule = trace_to_schedule(&log, 0.0);
     let sim = replay::replay(&machine, &costs, &schedule);
     println!("\nreplayed on the Balance 21000 model (communication only):");
     println!("  span            {:>12.3} ms", sim.elapsed_secs * 1e3);
@@ -38,7 +38,7 @@ fn main() {
     println!("  bus utilization {:>12.1} %", sim.bus_utilization * 100.0);
     println!("  lock waits      {:>12}", sim.lock_waits);
 
-    let penalty = (native.send_throughput) / sim.send_throughput().max(1e-9);
+    let penalty = native.send_throughput() / sim.send_throughput().max(1e-9);
     println!(
         "\ntype-architecture estimate: this schedule runs ~{penalty:.0}x faster on the host than on a 1987 Balance 21000"
     );

@@ -30,8 +30,8 @@ use mpf_shm::telemetry::{
     now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
 };
 use mpf_shm::tracering::{
-    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV, TR_RECV, TR_RECV_B,
-    TR_SEND, TR_WAKEUP,
+    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV,
+    TR_OPEN_SEND, TR_RECV, TR_RECV_B, TR_SEND, TR_WAKEUP,
 };
 use mpf_shm::waitq::WaitQueue;
 
@@ -44,7 +44,6 @@ use crate::lnvc::{Ctx, LnvcSlot};
 use crate::message::MsgSlot;
 use crate::registry::Registry;
 use crate::stats::{MpfStats, Reclaimable};
-use crate::trace::{EventKind, TraceLog, Tracer, NO_STAMP};
 use crate::types::{LnvcId, LnvcName, Protocol, MAX_LNVC_INDEX};
 
 /// The message passing facility.  One instance is one shared region;
@@ -68,7 +67,6 @@ pub struct Mpf {
     tel: FacilityTelemetry,
     /// Per-conversation telemetry, indexed like the LNVC pool.
     lnvc_tel: Box<[LnvcTelemetry]>,
-    tracer: Option<Tracer>,
     /// Batched-submission rings, one SQ per process slot (layout segment
     /// "aio sq rings"; heap-held here like every other pool).
     aio_sq: Box<[AioRing]>,
@@ -126,7 +124,6 @@ impl Mpf {
             lnvc_tel: (0..cfg.max_lnvcs)
                 .map(|_| LnvcTelemetry::default())
                 .collect(),
-            tracer: (cfg.trace_capacity > 0).then(|| Tracer::new(cfg.trace_capacity)),
             aio_sq: (0..cfg.max_processes).map(|_| AioRing::new()).collect(),
             aio_cq: (0..cfg.max_processes).map(|_| AioRing::new()).collect(),
             latency_tick: AtomicU64::new(0),
@@ -250,23 +247,6 @@ impl Mpf {
         }
     }
 
-    /// Drains the event trace, if tracing was enabled at `init`.
-    pub fn take_trace(&self) -> Option<TraceLog> {
-        self.tracer.as_ref().map(Tracer::take_log)
-    }
-
-    /// Trace events dropped by the capacity bound so far.
-    pub fn trace_dropped(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, Tracer::dropped)
-    }
-
-    #[inline]
-    fn trace(&self, pid: ProcessId, kind: EventKind, lnvc: u32, len: usize, stamp: u64) {
-        if let Some(t) = &self.tracer {
-            t.record(pid.raw(), kind, lnvc, len, stamp);
-        }
-    }
-
     /// Number of currently existing conversations.
     pub fn live_lnvcs(&self) -> usize {
         self.registry.len()
@@ -385,9 +365,6 @@ impl Mpf {
         }
     }
 
-    /// Records a receiver-population change marker (`TR_OPEN_RECV` /
-    /// `TR_CLOSE_RECV`).  Not sampled: the conformance checker needs the
-    /// population timeline even across untraced gaps.
     /// Records an injected fault this process acted on (`TR_FAULT`):
     /// `arg` names the site, `arg2` the magnitude of the typed error it
     /// surfaced as — the pairing the offline conformance checker audits.
@@ -406,11 +383,16 @@ impl Mpf {
         }
     }
 
-    fn trace_pop(&self, pid: ProcessId, kind: u32, lnvc: u32, protocol: Protocol) {
+    /// Records a connection marker (`TR_OPEN_SEND` / `TR_CLOSE_SEND`, or
+    /// `TR_OPEN_RECV` / `TR_CLOSE_RECV` with the receiver's protocol as
+    /// `arg`).  Not sampled: the conformance checker needs the population
+    /// timeline even across untraced gaps.
+    fn trace_pop(&self, pid: ProcessId, kind: u32, lnvc: u32, protocol: Option<Protocol>) {
         if self.tracing() {
             let code = match protocol {
-                Protocol::Fcfs => 1,
-                Protocol::Broadcast => 2,
+                None => 0,
+                Some(Protocol::Fcfs) => 1,
+                Some(Protocol::Broadcast) => 2,
             };
             self.trace_rings[pid.index()].record_at(now_nanos(), 0, 0, kind, 0, lnvc, code, 0);
         }
@@ -529,7 +511,7 @@ impl Mpf {
             self.rollback_create(&mut reg, name, idx);
         }
         if result.is_ok() {
-            self.trace(pid, EventKind::OpenSend, idx, 0, NO_STAMP);
+            self.trace_pop(pid, TR_OPEN_SEND, idx, None);
         }
         result
     }
@@ -592,8 +574,7 @@ impl Mpf {
             self.mem_waitq.notify_all();
         }
         if result.is_ok() {
-            self.trace(pid, EventKind::OpenRecv, idx, 0, NO_STAMP);
-            self.trace_pop(pid, TR_OPEN_RECV, idx, protocol);
+            self.trace_pop(pid, TR_OPEN_RECV, idx, Some(protocol));
         }
         result
     }
@@ -641,7 +622,7 @@ impl Mpf {
         // observe UnknownLnvc; wake memory waiters (messages may be freed).
         slot.waitq.notify_all();
         self.mem_waitq.notify_all();
-        self.trace(pid, EventKind::CloseSend, id.index(), 0, NO_STAMP);
+        self.trace_pop(pid, TR_CLOSE_SEND, id.index(), None);
         Ok(())
     }
 
@@ -695,8 +676,7 @@ impl Mpf {
         }
         slot.waitq.notify_all();
         self.mem_waitq.notify_all();
-        self.trace(pid, EventKind::CloseRecv, id.index(), 0, NO_STAMP);
-        self.trace_pop(pid, TR_CLOSE_RECV, id.index(), closed_protocol);
+        self.trace_pop(pid, TR_CLOSE_RECV, id.index(), Some(closed_protocol));
         Ok(())
     }
 
@@ -959,7 +939,6 @@ impl Mpf {
                 lt.note_depth(u64::from(slot.msg_count()));
             }
             drop(_guard);
-            self.trace(pid, EventKind::Send, id.index(), buf.len(), stamp);
             self.trace_rec(
                 pid,
                 TR_SEND,
@@ -1049,7 +1028,6 @@ impl Mpf {
         self.stats.receives.inc();
         self.stats.bytes_out.add(len as u64);
         self.note_delivery(id.index(), len, sent_at, freed);
-        self.trace(pid, EventKind::Recv, id.index(), len, stamp);
         Ok(Some(len))
     }
 
@@ -1086,7 +1064,6 @@ impl Mpf {
             waited = true;
             self.stats.recv_waits.inc();
             self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
             slot.waitq.wait(ticket, self.cfg.wait_strategy);
         }
     }
@@ -1112,7 +1089,6 @@ impl Mpf {
             }
             self.stats.recv_waits.inc();
             self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
             if !slot
                 .waitq
                 .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
@@ -1177,7 +1153,6 @@ impl Mpf {
                 drop(guard);
                 self.stats.recv_waits.inc();
                 self.note_recv_wait(id.index());
-                self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
                 slot.waitq.wait(ticket, self.cfg.wait_strategy);
                 continue;
             };
@@ -1221,7 +1196,6 @@ impl Mpf {
             self.stats.receives.inc();
             self.stats.bytes_out.add(len as u64);
             self.note_delivery(id.index(), len, sent_at, freed);
-            self.trace(pid, EventKind::Recv, id.index(), len, stamp);
             return Ok(len);
         }
     }
@@ -1284,7 +1258,6 @@ impl Mpf {
     pub fn check_receive(&self, pid: ProcessId, id: LnvcId) -> Result<bool> {
         self.check_pid(pid)?;
         let present = self.pending_len(pid, id)?.is_some();
-        self.trace(pid, EventKind::Check, id.index(), 0, NO_STAMP);
         Ok(present)
     }
 
@@ -1576,7 +1549,6 @@ impl Mpf {
                     lt.sends.fetch_add(1, Ordering::Relaxed);
                     lt.bytes_in.fetch_add(len as u64, Ordering::Relaxed);
                 }
-                self.trace(pid, EventKind::Send, id.index(), len, stamp);
                 sent += 1;
                 bytes += len as u64;
             }
@@ -1775,9 +1747,6 @@ impl Mpf {
                 }
             }
         }
-        for &(_, len, _, stamp, ..) in &picked {
-            self.trace(pid, EventKind::Recv, id.index(), len, stamp);
-        }
         Ok(picked.len())
     }
 
@@ -1798,7 +1767,6 @@ impl Mpf {
             }
             self.stats.recv_waits.inc();
             self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
             slot.waitq.wait(ticket, self.cfg.wait_strategy);
         }
     }
@@ -1826,7 +1794,6 @@ impl Mpf {
             }
             self.stats.recv_waits.inc();
             self.note_recv_wait(id.index());
-            self.trace(pid, EventKind::RecvBlocked, id.index(), 0, NO_STAMP);
             if !slot
                 .waitq
                 .wait_deadline(ticket, self.cfg.wait_strategy, deadline)
@@ -2553,45 +2520,29 @@ mod tests {
 
     #[test]
     fn tracing_records_the_full_lifecycle() {
-        use crate::trace::EventKind;
-        let mpf = Mpf::init(MpfConfig::new(4, 4).with_tracing(1024)).unwrap();
+        let mpf = facility();
         let tx = mpf.open_send(p(0), "traced").unwrap();
         let rx = mpf.open_receive(p(1), "traced", Protocol::Fcfs).unwrap();
         mpf.message_send(p(0), tx, &[1u8; 40]).unwrap();
-        mpf.check_receive(p(1), rx).unwrap();
         let mut buf = [0u8; 64];
         mpf.message_receive(p(1), rx, &mut buf).unwrap();
         mpf.close_send(p(0), tx).unwrap();
         mpf.close_receive(p(1), rx).unwrap();
 
-        let log = mpf.take_trace().expect("tracing enabled");
-        let kinds: Vec<EventKind> = log.events.iter().map(|e| e.kind).collect();
-        for expected in [
-            EventKind::OpenSend,
-            EventKind::OpenRecv,
-            EventKind::Send,
-            EventKind::Check,
-            EventKind::Recv,
-            EventKind::CloseSend,
-            EventKind::CloseRecv,
-        ] {
-            assert!(
-                kinds.contains(&expected),
-                "missing {expected:?} in {kinds:?}"
-            );
+        let tx_ring = mpf.trace_events(p(0)).unwrap();
+        let rx_ring = mpf.trace_events(p(1)).unwrap();
+        let kinds = |evs: &[TraceEvent]| evs.iter().map(|e| e.kind).collect::<Vec<_>>();
+        assert_eq!(kinds(&tx_ring), [TR_OPEN_SEND, TR_SEND, TR_CLOSE_SEND]);
+        for expected in [TR_OPEN_RECV, TR_RECV, TR_CLOSE_RECV] {
+            assert!(kinds(&rx_ring).contains(&expected), "{rx_ring:?}");
         }
-        let summary = log.summary();
-        assert_eq!(summary.sends, 1);
-        assert_eq!(summary.receives, 1);
-        assert_eq!(summary.bytes_sent, 40);
-        assert_eq!(summary.matched, 1, "send matched to its receive by stamp");
-        assert_eq!(mpf.trace_dropped(), 0);
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let mpf = facility();
-        assert!(mpf.take_trace().is_none());
+        let send = tx_ring[1];
+        let recv = rx_ring.iter().find(|e| e.kind == TR_RECV).unwrap();
+        assert_eq!((send.arg, recv.arg), (40, 40));
+        assert_eq!(
+            send.stamp, recv.stamp,
+            "send matched to its receive by stamp"
+        );
     }
 
     #[test]

@@ -89,7 +89,6 @@ pub mod one2one;
 pub mod registry;
 pub mod stats;
 pub mod sync_channel;
-pub mod trace;
 pub mod types;
 
 pub use aio::{AioCompletion, AioStats};

@@ -9,20 +9,20 @@
 //! region whose writers are running — or crashed.  Prints the process
 //! table (with liveness), the LNVC table (queue depths, protocols,
 //! poison state), facility counters, latency/size percentiles, and the
-//! tail of each attached-or-dead process's flight ring.
+//! tail of each attached-or-dead process's trace ring.
 //!
 //! `--json` emits one machine-readable document instead (hand-rolled —
 //! the workspace is dependency-free by design).  `--watch` re-samples
 //! every `seconds` (default 1), printing counter deltas per interval
-//! with sparkline rate history.  `--trace` switches to the causal
-//! trace-ring subview: per-process ring occupancy/drops plus the raw
-//! record tail `mpf-trace` reconstructs chains from.
+//! with sparkline rate history.  `--trace` switches to the trace-ring
+//! subview: per-process ring occupancy/drops plus the same record tails
+//! (`mpf-trace` reconstructs causal chains from these records).
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use mpf_ipc::inspect::RegionInspector;
-use mpf_shm::telemetry::{event_name, HistSnapshot, TelSnapshot};
+use mpf_shm::telemetry::{HistSnapshot, TelSnapshot};
 use mpf_shm::tracering::trace_event_name;
 
 const USAGE: &str =
@@ -335,34 +335,45 @@ fn render_text(insp: &RegionInspector, ring_tail: usize, history: &[TelSnapshot]
         if p.state == "free" {
             continue;
         }
-        let ev = insp.flight_events(p.pid);
-        if ev.is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "\nflight ring, mpf pid {} (os pid {}, {}):",
+        let heading = format!(
+            "trace ring, mpf pid {} (os pid {}, {})",
             p.pid,
             insp.ring_writer(p.pid),
             p.state
         );
-        for e in ev.iter().rev().take(ring_tail).rev() {
-            let _ = writeln!(
-                s,
-                "  #{:<6} t={} {:<12} lnvc={} arg={}",
-                e.seq,
-                e.tstamp,
-                event_name(e.kind),
-                if e.lnvc == u32::MAX {
-                    "-".into()
-                } else {
-                    e.lnvc.to_string()
-                },
-                e.arg,
-            );
-        }
+        tail_text(&mut s, insp, p.pid, &heading, ring_tail);
     }
     s
+}
+
+/// Appends the last `ring_tail` records of `pid`'s trace ring under
+/// `heading`; nothing when the ring is empty.  The default view and the
+/// `--trace` subview share it.
+fn tail_text(s: &mut String, insp: &RegionInspector, pid: u32, heading: &str, ring_tail: usize) {
+    let ev = insp.trace_events(pid);
+    if ev.is_empty() {
+        return;
+    }
+    let _ = writeln!(s, "\n{heading}:");
+    for e in ev.iter().rev().take(ring_tail).rev() {
+        let _ = writeln!(
+            s,
+            "  #{:<6} t={} {:<10} trace={:#x} hop={} stamp={} lnvc={} arg={} arg2={}",
+            e.seq,
+            e.tstamp,
+            trace_event_name(e.kind),
+            e.trace,
+            e.hop,
+            e.stamp,
+            if e.lnvc == u32::MAX {
+                "-".into()
+            } else {
+                e.lnvc.to_string()
+            },
+            e.arg,
+            e.arg2,
+        );
+    }
 }
 
 fn hist_line(h: &HistSnapshot, unit: &str) -> String {
@@ -479,33 +490,12 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
         .iter()
         .filter(|p| p.state != "free")
         .map(|p| {
-            let ev = insp.flight_events(p.pid);
-            let tail = ev
-                .iter()
-                .rev()
-                .take(ring_tail)
-                .rev()
-                .map(|e| {
-                    format!(
-                        "{{\"seq\":{},\"tstamp\":{},\"kind\":{},\"lnvc\":{},\"arg\":{}}}",
-                        e.seq,
-                        e.tstamp,
-                        jstr(event_name(e.kind)),
-                        if e.lnvc == u32::MAX {
-                            "null".into()
-                        } else {
-                            e.lnvc.to_string()
-                        },
-                        e.arg,
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
             format!(
-                "{{\"pid\":{},\"os_pid\":{},\"state\":{},\"events\":[{tail}]}}",
+                "{{\"pid\":{},\"os_pid\":{},\"state\":{},\"events\":[{}]}}",
                 p.pid,
                 insp.ring_writer(p.pid),
                 jstr(p.state),
+                tail_json(insp, p.pid, ring_tail),
             )
         })
         .collect::<Vec<_>>()
@@ -539,7 +529,7 @@ fn render_json(insp: &RegionInspector, ring_tail: usize) -> String {
          \"recv_waits\":{},\"send_waits\":{},\"reclaims\":{},\"lnvcs_created\":{},\"lnvcs_deleted\":{},\
          \"lock_contended\":{},\"sweeps\":{},\"peers_died\":{}}},\
          \"size_hist\":{},\"latency_hist\":{},\"aio_rings\":[{aio}],\
-         \"processes\":[{procs}],\"lnvcs\":[{lnvcs}],\"flight_rings\":[{rings}]}}",
+         \"processes\":[{procs}],\"lnvcs\":[{lnvcs}],\"trace_tails\":[{rings}]}}",
         jstr(insp.name()),
         insp.region_bytes(),
         insp.telemetry_enabled(),
@@ -610,34 +600,8 @@ fn render_trace_text(insp: &RegionInspector, ring_tail: usize) -> String {
     }
 
     for r in &rings {
-        let ev = insp.trace_events(r.pid);
-        if ev.is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            s,
-            "\ntrace tail, mpf pid {} (os pid {}):",
-            r.pid, r.writer_pid
-        );
-        for e in ev.iter().rev().take(ring_tail).rev() {
-            let _ = writeln!(
-                s,
-                "  #{:<6} t={} {:<10} trace={:#x} hop={} stamp={} lnvc={} arg={} arg2={}",
-                e.seq,
-                e.tstamp,
-                trace_event_name(e.kind),
-                e.trace,
-                e.hop,
-                e.stamp,
-                if e.lnvc == u32::MAX {
-                    "-".into()
-                } else {
-                    e.lnvc.to_string()
-                },
-                e.arg,
-                e.arg2,
-            );
-        }
+        let heading = format!("trace tail, mpf pid {} (os pid {})", r.pid, r.writer_pid);
+        tail_text(&mut s, insp, r.pid, &heading, ring_tail);
     }
     if rings.is_empty() {
         let _ = writeln!(
@@ -654,37 +618,15 @@ fn render_trace_json(insp: &RegionInspector, ring_tail: usize) -> String {
         .iter()
         .filter(|r| r.recorded > 0 || r.sampled_out > 0)
         .map(|r| {
-            let ev = insp.trace_events(r.pid);
-            let tail = ev
-                .iter()
-                .rev()
-                .take(ring_tail)
-                .rev()
-                .map(|e| {
-                    format!(
-                        "{{\"seq\":{},\"tstamp\":{},\"kind\":{},\"trace\":\"{:#x}\",\
-                         \"hop\":{},\"stamp\":{},\"lnvc\":{},\"arg\":{},\"arg2\":{}}}",
-                        e.seq,
-                        e.tstamp,
-                        jstr(trace_event_name(e.kind)),
-                        e.trace,
-                        e.hop,
-                        e.stamp,
-                        if e.lnvc == u32::MAX {
-                            "null".into()
-                        } else {
-                            e.lnvc.to_string()
-                        },
-                        e.arg,
-                        e.arg2,
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
             format!(
                 "{{\"pid\":{},\"os_pid\":{},\"recorded\":{},\"overwritten\":{},\
-                 \"sampled_out\":{},\"events\":[{tail}]}}",
-                r.pid, r.writer_pid, r.recorded, r.overwritten, r.sampled_out,
+                 \"sampled_out\":{},\"events\":[{}]}}",
+                r.pid,
+                r.writer_pid,
+                r.recorded,
+                r.overwritten,
+                r.sampled_out,
+                tail_json(insp, r.pid, ring_tail),
             )
         })
         .collect::<Vec<_>>()
@@ -695,4 +637,35 @@ fn render_trace_json(insp: &RegionInspector, ring_tail: usize) -> String {
         insp.trace_enabled(),
         insp.config().trace_sample_every,
     )
+}
+
+/// The last `ring_tail` records of `pid`'s trace ring as comma-joined
+/// JSON objects (the JSON twin of [`tail_text`]).
+fn tail_json(insp: &RegionInspector, pid: u32, ring_tail: usize) -> String {
+    let ev = insp.trace_events(pid);
+    ev.iter()
+        .rev()
+        .take(ring_tail)
+        .rev()
+        .map(|e| {
+            format!(
+                "{{\"seq\":{},\"tstamp\":{},\"kind\":{},\"trace\":\"{:#x}\",\
+                 \"hop\":{},\"stamp\":{},\"lnvc\":{},\"arg\":{},\"arg2\":{}}}",
+                e.seq,
+                e.tstamp,
+                jstr(trace_event_name(e.kind)),
+                e.trace,
+                e.hop,
+                e.stamp,
+                if e.lnvc == u32::MAX {
+                    "null".into()
+                } else {
+                    e.lnvc.to_string()
+                },
+                e.arg,
+                e.arg2,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",")
 }

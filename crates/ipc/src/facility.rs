@@ -26,13 +26,11 @@ use mpf::{LnvcName, MpfConfig, MpfError, Protocol, Reclaimable, Result};
 use mpf_shm::faultplane::{self, FaultSite};
 use mpf_shm::ring::{AioRing, RingEntry};
 use mpf_shm::telemetry::{
-    bump, now_nanos, FacilityTelemetry, FlightEvent, FlightRing, LnvcTelSnapshot, LnvcTelemetry,
-    TelSnapshot, EV_CLOSE_RECV, EV_CLOSE_SEND, EV_LOCK_CONTEND, EV_OPEN_RECV, EV_OPEN_SEND,
-    EV_POISONED, EV_RECLAIM, EV_RECV, EV_RECV_BLOCK, EV_SEND, EV_SEND_BLOCK, EV_SWEEP_DEAD,
+    bump, now_nanos, FacilityTelemetry, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
 };
 use mpf_shm::tracering::{
-    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV, TR_POISON,
-    TR_RECLAIM, TR_RECV, TR_RECV_B, TR_SEND, TR_WAKEUP,
+    TraceEvent, TraceRing, TR_CLOSE_RECV, TR_CLOSE_SEND, TR_ENQUEUE, TR_FAULT, TR_OPEN_RECV,
+    TR_OPEN_SEND, TR_POISON, TR_RECLAIM, TR_RECV, TR_RECV_B, TR_SEND, TR_SWEEP_DEAD, TR_WAKEUP,
 };
 use mpf_shm::ShmRegion;
 
@@ -132,7 +130,6 @@ pub(crate) struct Offsets {
     pub(crate) payloads: usize,
     pub(crate) fac_tel: usize,
     pub(crate) lnvc_tel: usize,
-    pub(crate) rings: usize,
     pub(crate) trace_rings: usize,
     pub(crate) aio_sq: usize,
     pub(crate) aio_cq: usize,
@@ -163,7 +160,6 @@ pub(crate) fn offsets_for(cfg: &MpfConfig) -> Offsets {
         payloads: seg("block payloads"),
         fac_tel: seg("facility telemetry"),
         lnvc_tel: seg("lnvc telemetry"),
-        rings: seg("flight rings"),
         trace_rings: seg("trace rings"),
         aio_sq: seg("aio sq rings"),
         aio_cq: seg("aio cq rings"),
@@ -449,10 +445,9 @@ impl IpcMpf {
                     s.os_pid.store(std::process::id(), Ordering::Release);
                     s.generation.fetch_add(1, Ordering::AcqRel);
                     s.heartbeat.store(1, Ordering::Release);
-                    // Tag the slot's flight ring with the new writer; on a
+                    // Tag the slot's trace ring with the new writer; on a
                     // recycled slot the predecessor's (timestamped) events
                     // remain readable until overwritten.
-                    self.ring(i).set_writer_pid(std::process::id());
                     self.trace_ring(i).set_writer_pid(std::process::id());
                     return Ok(i);
                 }
@@ -544,14 +539,6 @@ impl IpcMpf {
         }
     }
 
-    fn ring(&self, p: u32) -> &FlightRing {
-        debug_assert!(p < self.counts.max_processes);
-        unsafe {
-            self.region
-                .at(self.off.rings + p as usize * std::mem::size_of::<FlightRing>())
-        }
-    }
-
     /// Process `p`'s causal trace ring.
     fn trace_ring(&self, p: u32) -> &TraceRing {
         debug_assert!(p < self.counts.max_processes);
@@ -603,24 +590,6 @@ impl IpcMpf {
         self.tel_on.then(|| self.fac_tel(self.me))
     }
 
-    /// Appends to this process's flight ring (single-writer: only `me`'s
-    /// slot owner writes `me`'s ring).
-    #[inline]
-    fn fly(&self, kind: u32, lnvc: u32, arg: u64) {
-        if self.tel_on {
-            self.ring(self.me).record(kind, lnvc, arg);
-        }
-    }
-
-    /// [`fly`](Self::fly) with a timestamp the caller already has, saving
-    /// a clock read on the send/receive hot paths.
-    #[inline]
-    fn fly_at(&self, tstamp: u64, kind: u32, lnvc: u32, arg: u64) {
-        if self.tel_on {
-            self.ring(self.me).record_at(tstamp, kind, lnvc, arg);
-        }
-    }
-
     /// Books `freed` reclaimed messages against the facility and LNVC
     /// counters (no-op when nothing was freed or telemetry is off).
     fn note_reclaim(&self, idx: u32, freed: u32) {
@@ -632,7 +601,6 @@ impl IpcMpf {
         self.lnvc_tel(idx)
             .reclaims
             .fetch_add(freed as u64, Ordering::Relaxed);
-        self.fly(EV_RECLAIM, idx, freed as u64);
     }
 
     /// Liveness oracle for [`mpf_shm::IpcLock`] holders.  Lock owner ids
@@ -657,7 +625,6 @@ impl IpcMpf {
         if contended {
             if let Some(t) = self.tel() {
                 t.lock_contended.inc();
-                self.fly(EV_LOCK_CONTEND, NIL, 0);
             }
         }
         if matches!(acq, mpf_shm::IpcAcquire::Poisoned) {
@@ -668,10 +635,9 @@ impl IpcMpf {
                 d.dead_pid.store(owner - 1, Ordering::Release);
             }
             // Poison is sticky, so every later acquire lands here too —
-            // log the flight event only on the 0→1 transition.
+            // record the marker only on the 0→1 transition.
             if d.poisoned.swap(1, Ordering::AcqRel) == 0 {
                 let dead = d.dead_pid.load(Ordering::Acquire);
-                self.fly(EV_POISONED, NIL, dead as u64);
                 self.trace_pop(TR_POISON, NIL, dead);
             }
             self.wake_locked(d);
@@ -745,7 +711,7 @@ impl IpcMpf {
 
     /// [`trace_rec`](Self::trace_rec) with a timestamp the caller already
     /// has (0 = read the clock here), sharing one clock read across the
-    /// trace records, latency sample, and flight records of an operation.
+    /// trace records and latency sample of an operation.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn trace_rec_at(
@@ -766,8 +732,8 @@ impl IpcMpf {
         }
     }
 
-    /// Records a marker event (`TR_OPEN_RECV` / `TR_CLOSE_RECV` /
-    /// `TR_POISON`).  Not sampled: the conformance checker needs the
+    /// Records a marker event (opens, closes, `TR_POISON`,
+    /// `TR_SWEEP_DEAD`).  Not sampled: the conformance checker needs the
     /// receiver-population timeline even across untraced gaps.
     fn trace_pop(&self, kind: u32, lnvc: u32, arg: u32) {
         if self.tracing() {
@@ -870,7 +836,7 @@ impl IpcMpf {
             }
             d.lock.unlock();
             if result.is_ok() {
-                self.fly(EV_OPEN_SEND, idx, 0);
+                self.trace_pop(TR_OPEN_SEND, idx, 0);
             }
             result
         })
@@ -940,7 +906,6 @@ impl IpcMpf {
             }
             d.lock.unlock();
             if result.is_ok() {
-                self.fly(EV_OPEN_RECV, idx, proto_code(protocol) as u64);
                 self.trace_pop(TR_OPEN_RECV, idx, proto_code(protocol));
             }
             result
@@ -969,7 +934,7 @@ impl IpcMpf {
             })();
             d.lock.unlock();
             if result.is_ok() {
-                self.fly(EV_CLOSE_SEND, idx, 0);
+                self.trace_pop(TR_CLOSE_SEND, idx, 0);
             }
             result
         })
@@ -995,7 +960,6 @@ impl IpcMpf {
             })();
             d.lock.unlock();
             if let Ok(protocol) = result {
-                self.fly(EV_CLOSE_RECV, idx, 0);
                 self.trace_pop(TR_CLOSE_RECV, idx, protocol);
             }
             result.map(|_| ())
@@ -1108,11 +1072,6 @@ impl IpcMpf {
         d.lock.unlock();
         match result {
             Ok((stamp, trace, hop, obligations)) => {
-                if sent_at != 0 {
-                    self.fly_at(sent_at, EV_SEND, idx, payload.len() as u64);
-                } else {
-                    self.fly(EV_SEND, idx, payload.len() as u64);
-                }
                 self.trace_rec_at(
                     sent_at,
                     TR_SEND,
@@ -1237,7 +1196,6 @@ impl IpcMpf {
                             self.lnvc_tel(idx)
                                 .recv_waits
                                 .fetch_add(1, Ordering::Relaxed);
-                            self.fly(EV_RECV_BLOCK, idx, 0);
                         }
                     }
                     // Nap to the sweep cadence, clamped so a near
@@ -1405,7 +1363,6 @@ impl IpcMpf {
             None => {
                 if let Some(t) = self.tel() {
                     t.send_waits.inc();
-                    self.fly(EV_SEND_BLOCK, idx, 0);
                 }
                 let freed = self.sweep_consumed(d);
                 self.note_reclaim(idx, freed);
@@ -1418,7 +1375,6 @@ impl IpcMpf {
                 let retried = if matches!(first_err, MpfError::BlocksExhausted) {
                     if let Some(t) = self.tel() {
                         t.send_waits.inc();
-                        self.fly(EV_SEND_BLOCK, idx, 0);
                     }
                     let freed = self.sweep_consumed(d);
                     self.note_reclaim(idx, freed);
@@ -1665,13 +1621,9 @@ impl IpcMpf {
                 // rings buy.
                 d.waitq.notify_all();
                 self.ring_doorbells(&bells);
-                if now != 0 {
-                    for e in run {
-                        self.fly_at(now, EV_SEND, idx, u64::from(e.arg1));
-                    }
-                }
                 for (e, &stamp) in run.iter().zip(&stamps) {
-                    self.trace_rec(
+                    self.trace_rec_at(
+                        now,
                         TR_SEND,
                         e.status as u32,
                         e.trace,
@@ -1822,7 +1774,6 @@ impl IpcMpf {
                     self.lnvc_tel(idx)
                         .recv_waits
                         .fetch_add(1, Ordering::Relaxed);
-                    self.fly(EV_RECV_BLOCK, idx, 0);
                 }
             }
             d.waitq.wait(ticket, Some(RECV_SWEEP_INTERVAL));
@@ -1869,7 +1820,6 @@ impl IpcMpf {
                     self.lnvc_tel(idx)
                         .recv_waits
                         .fetch_add(1, Ordering::Relaxed);
-                    self.fly(EV_RECV_BLOCK, idx, 0);
                 }
             }
             let nap = deadline.map_or(RECV_SWEEP_INTERVAL, |dl| {
@@ -1912,8 +1862,8 @@ impl IpcMpf {
             .ok_or(MpfError::NotConnected)?;
         let r = self.recv(conn);
         let bcast = r.proto() == proto_code(Protocol::Broadcast);
-        // One clock read covers every trace record, latency sample, and
-        // flight record this batch produces.
+        // One clock read covers every trace record and latency sample
+        // this batch produces.
         let now = if self.tel_on || self.tracing() {
             now_nanos()
         } else {
@@ -1973,7 +1923,6 @@ impl IpcMpf {
             if freed > 0 {
                 t.reclaims.add(freed as u64);
                 bump(&lt.reclaims, freed as u64);
-                self.fly_at(now, EV_RECLAIM, idx, freed as u64);
             }
             t.receives.add(received as u64);
             t.bytes_out.add(bytes);
@@ -1984,7 +1933,6 @@ impl IpcMpf {
                 t.latency_hist.record(lat);
                 lt.latency.record_locked(lat);
             }
-            self.fly_at(now, EV_RECV, idx, bytes);
         }
         Ok(received)
     }
@@ -2216,8 +2164,8 @@ impl IpcMpf {
         } else {
             m.flags.fetch_or(msg_flags::FCFS_TAKEN, Ordering::AcqRel);
         }
-        // One clock read covers the trace records (delivery + reclaim),
-        // the latency sample, and both flight records of this receive.
+        // One clock read covers the trace records (delivery + reclaim)
+        // and the latency sample of this receive.
         let now = if self.tel_on || trace != 0 {
             now_nanos()
         } else {
@@ -2242,7 +2190,6 @@ impl IpcMpf {
             if freed > 0 {
                 t.reclaims.add(freed as u64);
                 bump(&lt.reclaims, freed as u64);
-                self.fly_at(now, EV_RECLAIM, idx, freed as u64);
             }
             t.receives.inc();
             t.bytes_out.add(len as u64);
@@ -2253,7 +2200,6 @@ impl IpcMpf {
                 t.latency_hist.record(lat);
                 lt.latency.record_locked(lat);
             }
-            self.fly_at(now, EV_RECV, idx, len as u64);
         }
         Ok(Some(len))
     }
@@ -2761,8 +2707,8 @@ impl IpcMpf {
                 found += 1;
                 if let Some(t) = self.tel() {
                     t.peers_died.inc();
-                    self.fly(EV_SWEEP_DEAD, NIL, os_pid as u64);
                 }
+                self.trace_pop(TR_SWEEP_DEAD, NIL, p);
                 // The corpse may have died between submit and drain:
                 // its staged messages are pool allocations linked to no
                 // queue, visible only through its submission ring.  The
@@ -2837,7 +2783,6 @@ impl IpcMpf {
             } else if touched {
                 d.dead_pid.store(dead, Ordering::Release);
                 if d.poisoned.swap(1, Ordering::AcqRel) == 0 {
-                    self.fly(EV_POISONED, idx, dead as u64);
                     self.trace_pop(TR_POISON, idx, dead);
                 }
                 // Nobody can drain a poisoned conversation (every
@@ -2915,15 +2860,6 @@ impl IpcMpf {
             d.lock.unlock();
         }
         out
-    }
-
-    /// The tail of a process's flight ring, oldest first.  Readable for
-    /// any pid — including a dead one, which is the point.
-    pub fn flight_events(&self, pid: u32) -> Vec<FlightEvent> {
-        if pid >= self.counts.max_processes {
-            return Vec::new();
-        }
-        self.ring(pid).snapshot()
     }
 
     /// Whether causal tracing is enabled for this region (the creator's

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use mpf::{MpfConfig, MpfError, Protocol, Reclaimable};
 use mpf_ipc::{IpcMpf, RegionInspector};
+use mpf_shm::tracering::{TR_SEND, TR_SWEEP_DEAD};
 
 const REGION_ENV: &str = "MPF_IPC_REGION";
 
@@ -339,9 +340,9 @@ fn helper_doomed_sender() {
     std::thread::sleep(Duration::from_secs(60));
 }
 
-/// The flight recorder's reason to exist: a writer is SIGKILLed
+/// The trace ring's reason to live in the region: a writer is SIGKILLed
 /// mid-session and `mpfstat --json` — attaching read-only, after the
-/// fact — still reports its last flight-ring events, the non-zero
+/// fact — still reports its last trace-ring events, the non-zero
 /// counters it contributed, and the poisoned conversation it left
 /// behind.
 #[test]
@@ -382,14 +383,17 @@ fn mpfstat_post_mortem_reads_a_sigkilled_writer() {
         .collect();
     assert_eq!(dead.len(), 1, "exactly one swept corpse");
     assert_eq!(dead[0].os_pid, victim_os_pid);
-    let events = insp.flight_events(dead[0].pid);
+    let events = insp.trace_events(dead[0].pid);
     assert!(
-        events
+        events.iter().filter(|e| e.kind == TR_SEND).count() >= 5,
+        "victim's sends must survive in its trace ring: {events:?}"
+    );
+    let swept = insp.trace_events(m.pid());
+    assert!(
+        swept
             .iter()
-            .filter(|e| e.kind == mpf_shm::telemetry::EV_SEND)
-            .count()
-            >= 5,
-        "victim's sends must survive in its flight ring: {events:?}"
+            .any(|e| e.kind == TR_SWEEP_DEAD && e.arg == dead[0].pid),
+        "the survivor's ring records the sweep: {swept:?}"
     );
     assert_eq!(insp.ring_writer(dead[0].pid), victim_os_pid);
     assert!(insp.lnvcs().iter().any(|l| l.poisoned));

@@ -20,8 +20,7 @@ fn region(name: &str) -> IpcMpf {
     let cfg = MpfConfig::new(4, 4)
         .with_block_payload(64)
         .with_total_blocks(32)
-        .with_max_messages(16)
-        .with_tracing(256);
+        .with_max_messages(16);
     IpcMpf::create(name, &cfg).expect("create region")
 }
 
@@ -134,7 +133,9 @@ fn frozen_faulted_region_passes_offline_conformance() {
     // without detaching): the CI faults job runs
     // `mpf-trace fault-frozen --check` against it afterwards, gating
     // that the injected fault shows up as an audited TR_FAULT record —
-    // typed error surfaced, no conformance violations.
+    // typed error surfaced, no conformance violations.  The leak from a
+    // previous run of this binary is removed first, so reruns pass.
+    let _ = std::fs::remove_file(mpf_shm::region::region_path("fault-frozen"));
     let m = region("fault-frozen");
     let tx = m.open_send("audited").unwrap();
     let rx = m.open_receive("audited", Protocol::Fcfs).unwrap();

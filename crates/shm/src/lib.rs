@@ -85,8 +85,7 @@ pub use ring::{AioRing, RingEntry, AIO_RING_BYTES, AIO_RING_ENTRY_BYTES, AIO_RIN
 pub use rng::SmallRng;
 pub use stats::Counter;
 pub use telemetry::{
-    FacilityTelemetry, FlightEvent, FlightRing, HistSnapshot, Histogram, LnvcTelSnapshot,
-    LnvcTelemetry, TelSnapshot,
+    FacilityTelemetry, HistSnapshot, Histogram, LnvcTelSnapshot, LnvcTelemetry, TelSnapshot,
 };
 pub use tracering::{TraceEvent, TraceRing, TRACE_RING_BYTES, TRACE_RING_SLOTS};
 pub use waitq::{FutexSeq, WaitQueue, WaitStrategy};

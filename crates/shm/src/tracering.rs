@@ -1,23 +1,22 @@
-//! Per-process crash-persistent causal trace rings.
+//! Per-process crash-persistent event rings — the facility's one event
+//! stream.
 //!
-//! The flight recorder ([`crate::telemetry::FlightRing`]) answers "what
-//! were the last 64 things this process did"; the trace ring answers
-//! "what happened to *this message*".  Each record carries the message's
-//! 64-bit **trace id** (root id assigned at the first send of a causal
-//! chain, inherited with an incremented hop count by every send that
-//! follows a receive) and its global **stamp** (the region-wide send
-//! serial, the message's logical identity), so an offline reader can
-//! stitch per-process streams back into causal chains and check the
-//! paper's §3 delivery semantics without any cooperation from the —
-//! possibly dead — writers.
+//! Each record carries the message's 64-bit **trace id** (root id
+//! assigned at the first send of a causal chain, inherited with an
+//! incremented hop count by every send that follows a receive) and its
+//! global **stamp** (the region-wide send serial, the message's logical
+//! identity), so an offline reader can stitch per-process streams back
+//! into causal chains and check the paper's §3 delivery semantics without
+//! any cooperation from the — possibly dead — writers.  Message events
+//! (`TR_SEND`, `TR_RECV`, …) follow the 1-in-N chain sample; lifecycle
+//! markers (opens, closes, poison, sweeps, faults) are never sampled.
 //!
-//! Publication discipline is the flight ring's seqlock: the single writer
+//! Publication is a seqlock: the single writer (the process owning the
+//! slot, following the wait-free SPSC discipline; Torquati, PAPERS.md)
 //! zeroes `seq`, fills the payload, then publishes `seq = pos + 1`.  A
-//! reader (live `mpfstat --trace`, post-mortem `mpf-trace`) validates
-//! `seq` before and after copying the payload and skips torn slots; a
-//! writer SIGKILLed mid-append leaves `seq == 0` and loses exactly that
-//! slot.  Rings are KB-sized (512 records × 48 B) because causal
-//! reconstruction needs depth the 64-slot flight ring cannot give.
+//! reader (live `mpfstat`, post-mortem `mpf-trace`) validates `seq`
+//! before and after copying the payload and skips torn slots; a writer
+//! SIGKILLed mid-append leaves `seq == 0` and loses exactly that slot.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -62,6 +61,13 @@ pub const TR_POISON: u32 = 9;
 /// typed error status the fault surfaced as — nonzero for error-class
 /// faults, which is the pairing `mpf-trace --check` audits).
 pub const TR_FAULT: u32 = 10;
+/// Sender joined (marker).
+pub const TR_OPEN_SEND: u32 = 11;
+/// Sender left (marker).
+pub const TR_CLOSE_SEND: u32 = 12;
+/// A dead peer's slot was swept by this process (`arg` = the dead MPF
+/// pid).
+pub const TR_SWEEP_DEAD: u32 = 13;
 
 /// Human-readable name of a `TR_*` kind.
 pub fn trace_event_name(kind: u32) -> &'static str {
@@ -76,6 +82,9 @@ pub fn trace_event_name(kind: u32) -> &'static str {
         TR_CLOSE_RECV => "close_recv",
         TR_POISON => "poison",
         TR_FAULT => "fault",
+        TR_OPEN_SEND => "open_send",
+        TR_CLOSE_SEND => "close_send",
+        TR_SWEEP_DEAD => "sweep_dead",
         _ => "unknown",
     }
 }
@@ -312,6 +321,15 @@ mod tests {
         let evs = ring.snapshot();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].stamp, 1);
+    }
+
+    #[test]
+    fn trace_event_names_are_distinct() {
+        let names: std::collections::HashSet<_> =
+            (TR_SEND..=TR_SWEEP_DEAD).map(trace_event_name).collect();
+        assert_eq!(names.len(), (TR_SWEEP_DEAD - TR_SEND + 1) as usize);
+        assert!(!names.contains("unknown"));
+        assert_eq!(trace_event_name(0), "unknown");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Trace replay: re-price a recorded MPF run on the Balance 21000 model.
 //!
-//! `mpf-core`'s tracer (see `mpf::trace`) records what a native program
-//! *did* — which process sent/received how many bytes on which
-//! conversation, and how much time passed between its MPF calls.  This
+//! The per-process trace rings (`mpf_shm::tracering`) record what a
+//! native program *did* — which process sent/received how many bytes on
+//! which conversation, and how much time passed between its MPF calls.  This
 //! module replays such a schedule on the simulated machine: communication
 //! is re-priced by the calibrated cost model, and the gaps between a
 //! process's operations become `Compute` phases (scaled from host
@@ -13,7 +13,7 @@
 //! estimate backed by a measured schedule rather than a hand model.
 //!
 //! The format here is deliberately neutral (no dependency on `mpf-core`);
-//! `mpf-bench` converts a `TraceLog` into a [`ReplaySchedule`].
+//! `mpf-bench` converts an `mpf_trace::TraceLog` into a [`ReplaySchedule`].
 
 use std::collections::BTreeMap;
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use mpf_ipc::RegionInspector;
 use mpf_shm::tracering::trace_event_name;
-use mpf_trace::TraceLog;
+use mpf_trace::{RingCursor, TraceLog};
 
 fn usage() -> ! {
     eprintln!(
@@ -155,31 +155,22 @@ fn main() {
 /// output.  Runs until `--for-secs` elapses or the process is killed.
 fn follow_rings(insp: &RegionInspector, interval: Duration, for_secs: Option<u64>) {
     let deadline = for_secs.map(|s| Instant::now() + Duration::from_secs(s));
-    let nprocs = insp.trace_rings().len();
-    let mut last_seq = vec![0u64; nprocs];
+    let mut cursors = vec![RingCursor::default(); insp.trace_rings().len()];
     let mut t0: Option<u64> = None;
     println!(
         "{:<4}{:>10}  {:<10}{:>10}{:>8}{:>5}{:>6}{:>10}{:>10}",
         "pid", "ms", "kind", "trace", "stamp", "hop", "lnvc", "arg", "arg2"
     );
     loop {
-        for (pid, last) in last_seq.iter_mut().enumerate() {
-            let events = insp.trace_events(pid as u32);
-            let Some(newest) = events.last().map(|e| e.seq) else {
-                continue;
-            };
-            if newest <= *last {
-                continue;
+        for (pid, cursor) in cursors.iter_mut().enumerate() {
+            // Records that wrapped away before the first poll are history,
+            // not a gap in what this follower has shown.
+            let started = cursor.last_seq() != 0;
+            let (lost, fresh) = cursor.poll(insp.trace_events(pid as u32));
+            if started && lost > 0 {
+                println!("{pid:<4}  -- gap: {lost} record(s) overwritten before this poll --");
             }
-            let oldest_avail = events.first().map(|e| e.seq).unwrap_or(newest);
-            if *last != 0 && oldest_avail > *last + 1 {
-                println!(
-                    "{:<4}  -- gap: {} record(s) overwritten before this poll --",
-                    pid,
-                    oldest_avail - *last - 1
-                );
-            }
-            for e in events.iter().filter(|e| e.seq > *last) {
+            for e in &fresh {
                 let base = *t0.get_or_insert(e.tstamp);
                 println!(
                     "{:<4}{:>10}  {:<10}{:>10x}{:>8}{:>5}{:>6}{:>10}{:>10}",
@@ -198,7 +189,6 @@ fn follow_rings(insp: &RegionInspector, interval: Duration, for_secs: Option<u64
                     e.arg2
                 );
             }
-            *last = newest;
         }
         if let Some(dl) = deadline {
             if Instant::now() >= dl {

@@ -670,6 +670,34 @@ impl TraceLog {
     }
 }
 
+/// Incremental reader of one trace ring: each poll hands out the records
+/// not seen before, in `seq` order, and counts the records the writer
+/// overwrote since the previous poll.  `mpf-trace --follow` prints the
+/// loss as a gap line; the `replay_trace` recorder refuses it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RingCursor {
+    last: u64,
+}
+
+impl RingCursor {
+    /// `seq` of the newest record handed out so far (0 = none yet).
+    pub fn last_seq(&self) -> u64 {
+        self.last
+    }
+
+    /// Takes a fresh ring snapshot; returns `(lost, new records)`, where
+    /// `lost` counts records between the previous poll and the oldest
+    /// survivor that were overwritten (or torn) before this read.
+    pub fn poll(&mut self, snapshot: Vec<TraceEvent>) -> (u64, Vec<TraceEvent>) {
+        let fresh: Vec<TraceEvent> = snapshot.into_iter().filter(|e| e.seq > self.last).collect();
+        let lost = fresh.first().map_or(0, |e| e.seq - self.last - 1);
+        if let Some(e) = fresh.last() {
+            self.last = e.seq;
+        }
+        (lost, fresh)
+    }
+}
+
 /// Microsecond timestamp with sub-µs precision, as Chrome expects.
 fn micros(nanos: u64) -> String {
     format!("{}.{:03}", nanos / 1000, nanos % 1000)
@@ -968,6 +996,30 @@ mod tests {
         assert_eq!(streams[0].sends.len(), 1);
         assert_eq!(streams[0].recvs.len(), 1);
         assert_eq!(streams[1].lnvc, 4);
+    }
+
+    #[test]
+    fn ring_cursor_dedups_and_counts_lost_records() {
+        let at = |seqs: std::ops::RangeInclusive<u64>| {
+            seqs.map(|seq| TraceEvent {
+                seq,
+                ..ev(TR_SEND, 1, seq, 0, 0, 0, 0)
+            })
+            .collect::<Vec<_>>()
+        };
+        let mut c = RingCursor::default();
+        let (lost, new) = c.poll(at(1..=4));
+        assert_eq!((lost, new.len(), c.last_seq()), (0, 4, 4));
+        // Overlapping re-read: only 5..=6 are new.
+        let (lost, new) = c.poll(at(3..=6));
+        assert_eq!(
+            (lost, new.first().map(|e| e.seq), new.len()),
+            (0, Some(5), 2)
+        );
+        // The writer lapped the reader: 7..=9 are gone.
+        let (lost, new) = c.poll(at(10..=12));
+        assert_eq!((lost, new.len(), c.last_seq()), (3, 3, 12));
+        assert_eq!(c.poll(at(10..=12)), (0, Vec::new()));
     }
 
     #[test]
